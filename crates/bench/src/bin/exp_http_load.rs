@@ -11,10 +11,11 @@
 //! 3. `flash_crowd` — open-loop with an 8× burst, the overload/shedding
 //!    measurement.
 //!
-//! Writes `results/BENCH_gateway.json` (schema in EXPERIMENTS.md, E11)
-//! and prints a human table. Unlike the sim experiments these numbers
-//! are *hardware-dependent* — the JSON is a trajectory artifact, not a
-//! golden fixture, so it is uploaded from CI rather than committed.
+//! Prints a human table and, with `--out PATH`, writes the bench JSON
+//! (schema in EXPERIMENTS.md, E11) to PATH. Unlike the sim experiments
+//! these numbers are *hardware-dependent* — the JSON is a trajectory
+//! artifact, not a golden fixture, so it is uploaded from CI rather than
+//! committed.
 //!
 //! Usage: `exp_http_load [--quick] [--seed N] [--secs S] [--out PATH]
 //! [--profile-out PATH] [--slo]` (`--quick` shrinks the world and halves
@@ -34,7 +35,7 @@
 //! regressions alongside latency ones.
 
 use fakeaudit_analytics::BreakerConfig;
-use fakeaudit_bench::{parse_args, RunOptions};
+use fakeaudit_bench::{fail, parse_args, RunOptions};
 use fakeaudit_core::experiments::service_load::ServingWorld;
 use fakeaudit_detectors::ToolId;
 use fakeaudit_gateway::{
@@ -72,14 +73,9 @@ const SENDERS: usize = 64;
 struct HttpLoadOptions {
     run: RunOptions,
     secs: f64,
-    out: String,
+    out: Option<String>,
     profile_out: Option<String>,
     slo: bool,
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
 }
 
 /// Splits `--secs` / `--out` off and hands the rest to the shared
@@ -87,7 +83,7 @@ fn fail(msg: &str) -> ! {
 fn options() -> HttpLoadOptions {
     let mut rest = Vec::new();
     let mut secs = None;
-    let mut out = "results/BENCH_gateway.json".to_owned();
+    let mut out = None;
     let mut profile_out = None;
     let mut slo = false;
     let mut args = std::env::args().skip(1);
@@ -98,7 +94,7 @@ fn options() -> HttpLoadOptions {
                 _ => fail("--secs needs a positive number"),
             },
             "--out" => match args.next() {
-                Some(v) => out = v,
+                Some(v) => out = Some(v),
                 None => fail("--out needs a path"),
             },
             "--profile-out" => match args.next() {
@@ -368,17 +364,14 @@ fn main() {
         config.push(("allocs_per_req", format!("{allocs_per_req:.1}")));
     }
 
-    let json = render_bench_json(&config, breaker_trips, &scenarios);
-    if let Some(parent) = std::path::Path::new(&opts.out).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(&opts.out, &json) {
-        Ok(()) => println!("wrote {}", opts.out),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", opts.out);
-            std::process::exit(1);
+    if let Some(path) = &opts.out {
+        let json = render_bench_json(&config, breaker_trips, &scenarios);
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 

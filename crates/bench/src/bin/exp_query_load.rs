@@ -3,9 +3,10 @@
 //! Persists a full E8 service-load sweep into a columnar history store,
 //! then times every `fakeaudit query` kind over it: the four full-range
 //! scans plus a time-windowed timeseries that must prune segments via
-//! the zone maps. Writes `results/BENCH_store.json` in the bench-ledger
-//! schema so `fakeaudit bench record|compare` tracks query-path
-//! regressions exactly like the gateway's (E11).
+//! the zone maps. Prints a table and, with `--out PATH`, writes the
+//! bench JSON in the bench-ledger schema so `fakeaudit bench
+//! record|compare` tracks query-path regressions exactly like the
+//! gateway's (E11).
 //!
 //! Ledger mapping: `requests_per_sec` is queries per wall second and
 //! `shed_rate` is the *scanned fraction*,
@@ -20,7 +21,7 @@
 //! (`--persist` reuses/creates a store at DIR instead of a throwaway
 //! temp directory).
 
-use fakeaudit_bench::{parse_args, RunOptions};
+use fakeaudit_bench::{fail, parse_args, RunOptions};
 use fakeaudit_core::experiments::service_load::run_service_load_persisted;
 use fakeaudit_server::flush_writer;
 use fakeaudit_store::queries::{self, QueryKind, QueryOptions};
@@ -31,31 +32,32 @@ use std::time::Instant;
 
 struct QueryLoadOptions {
     run: RunOptions,
-    out: String,
+    persist: Option<String>,
+    out: Option<String>,
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// Splits `--out` off and hands the rest to the shared bench parser.
+/// Splits `--persist` and `--out` off and hands the rest to the shared
+/// bench parser.
 fn options() -> QueryLoadOptions {
     let mut rest = Vec::new();
-    let mut out = "results/BENCH_store.json".to_owned();
+    let (mut persist, mut out) = (None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--persist" => match args.next() {
+                Some(v) => persist = Some(v),
+                None => fail("--persist needs a directory"),
+            },
             "--out" => match args.next() {
-                Some(v) => out = v,
+                Some(v) => out = Some(v),
                 None => fail("--out needs a path"),
             },
             _ => rest.push(arg),
         }
     }
     match parse_args(rest.into_iter()) {
-        Ok(run) => QueryLoadOptions { run, out },
-        Err(msg) => fail(&format!("{msg} (also: --out PATH)")),
+        Ok(run) => QueryLoadOptions { run, persist, out },
+        Err(msg) => fail(&format!("{msg} (also: --persist DIR, --out PATH)")),
     }
 }
 
@@ -186,7 +188,7 @@ fn main() {
     let quick = opts.run.scale != fakeaudit_core::experiments::Scale::full();
 
     // The store under test: `--persist DIR`, or a throwaway temp dir.
-    let (dir, temp) = match opts.run.persist.clone() {
+    let (dir, temp) = match opts.persist.clone() {
         Some(dir) => (std::path::PathBuf::from(dir), false),
         None => (
             std::env::temp_dir().join(format!("fakeaudit-e13-{}", std::process::id())),
@@ -282,15 +284,12 @@ fn main() {
         );
     }
 
-    let json = render_json(seed, stats.rows, stats.segments, iters, &measured);
-    if let Some(parent) = std::path::Path::new(&opts.out).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
+    if let Some(path) = &opts.out {
+        let json = render_json(seed, stats.rows, stats.segments, iters, &measured);
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => fail(&format!("cannot write {path}: {e}")),
         }
-    }
-    match std::fs::write(&opts.out, &json) {
-        Ok(()) => println!("wrote {}", opts.out),
-        Err(e) => fail(&format!("cannot write {}: {e}", opts.out)),
     }
 
     if temp {

@@ -1,25 +1,8 @@
-//! Shared plumbing for the benchmark harness: a tiny CLI-argument parser
-//! used by every table-regeneration binary.
-//!
-//! Binaries (one per table/experiment of the paper — see DESIGN.md §5):
-//!
-//! | binary | regenerates |
-//! |--------|-------------|
-//! | `table1` | Table I (API limits) |
-//! | `table2` | Table II (response times) |
-//! | `table3` | Table III (analysis results + ground-truth scoring) |
-//! | `exp_ordering` | §IV-B follower-ordering experiment (E1) |
-//! | `exp_bias` | §II-D sampling-bias example (E2) |
-//! | `exp_crawl_budget` | §IV-B crawl budgets (E3) |
-//! | `exp_fc_training` | §III FC construction (E4) |
-//! | `exp_disagreement` | §IV-D disagreement analysis (E5) |
-//! | `exp_ablation_sampling` | sampling ablation (A1) |
-//! | `exp_service_load` | service under offered load (E8) |
-//! | `exp_latency_attribution` | latency attribution under load (E9) |
-//! | `exp_http_load` | wall-clock gateway bench (E11) |
-//! | `exp_detect_time` | fault-burst detection time (E14) |
-//!
-//! All binaries accept `--quick` (reduced scale) and `--seed <n>`.
+//! The wall-clock benchmarks `exp_http_load` (E11, the gateway under
+//! HTTP load) and `exp_query_load` (E13, queries over a persisted
+//! history). Both accept `--quick` and `--seed <n>`, print a table, and
+//! write their `BENCH_*.json` only where `--out PATH` says. Their numbers
+//! depend on the machine, so they stay out of `fakeaudit exp`.
 //!
 //! [`ledger`] holds the bench ledger: the committed
 //! `results/ledger.jsonl` history of headline numbers and the
@@ -32,16 +15,13 @@ pub mod ledger;
 
 use fakeaudit_core::experiments::Scale;
 
-/// Parsed command-line options shared by every experiment binary.
+/// Parsed command-line options shared by both bench binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// Experiment scale.
     pub scale: Scale,
     /// Master seed.
     pub seed: u64,
-    /// Audit-history store directory (`--persist DIR`); experiments that
-    /// support it append every completed audit there.
-    pub persist: Option<String>,
 }
 
 impl Default for RunOptions {
@@ -49,13 +29,11 @@ impl Default for RunOptions {
         Self {
             scale: Scale::full(),
             seed: 2014, // the paper's year
-            persist: None,
         }
     }
 }
 
-/// Parses `--quick`, `--seed <n>` and `--persist <dir>` from arbitrary
-/// argument iterators.
+/// Parses `--quick` and `--seed <n>` from arbitrary argument iterators.
 ///
 /// Unknown arguments are rejected with an error message so typos do not
 /// silently run the wrong configuration.
@@ -82,15 +60,9 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<RunOptions,
                     .ok_or_else(|| "--seed needs a value".to_string())?;
                 opts.seed = v.parse().map_err(|e| format!("invalid seed {v:?}: {e}"))?;
             }
-            "--persist" => {
-                opts.persist = Some(
-                    args.next()
-                        .ok_or_else(|| "--persist needs a directory".to_string())?,
-                );
-            }
             other => {
                 return Err(format!(
-                    "unknown argument {other:?} (try --quick, --seed N, --persist DIR)"
+                    "unknown argument {other:?} (try --quick, --seed N)"
                 ))
             }
         }
@@ -98,16 +70,10 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<RunOptions,
     Ok(opts)
 }
 
-/// Parses the process's own arguments, exiting with a usage message on
-/// error — the entry point every binary calls first.
-pub fn options_from_env() -> RunOptions {
-    match parse_args(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+/// Prints `msg` and exits with status 2: a run that cannot go on.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -146,12 +112,5 @@ mod tests {
     #[test]
     fn rejects_bad_seed() {
         assert!(parse_args(args(&["--seed", "abc"])).is_err());
-    }
-
-    #[test]
-    fn persist_takes_a_directory() {
-        let o = parse_args(args(&["--persist", "history"])).unwrap();
-        assert_eq!(o.persist.as_deref(), Some("history"));
-        assert!(parse_args(args(&["--persist"])).is_err());
     }
 }

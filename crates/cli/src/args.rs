@@ -32,6 +32,12 @@ pub enum ArgsError {
         /// The stray argument.
         String,
     ),
+    /// An option the command does not read, or one given without the
+    /// value it needs (or with a value it does not take).
+    Unread(
+        /// What is wrong, naming the option.
+        String,
+    ),
 }
 
 impl fmt::Display for ArgsError {
@@ -45,6 +51,7 @@ impl fmt::Display for ArgsError {
             ArgsError::UnexpectedPositional(arg) => {
                 write!(f, "unexpected argument {arg:?}")
             }
+            ArgsError::Unread(message) => f.write_str(message),
         }
     }
 }
@@ -87,6 +94,36 @@ impl ParsedArgs {
             }
         }
         Ok(parsed)
+    }
+
+    /// Rejects every flag not named in `flags` and every option not named
+    /// in `options`, each a space-separated list of names without the
+    /// `--`, so that no argument the command does not read passes
+    /// unnoticed.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::Unread`] naming the first such argument.
+    pub fn check(&self, flags: &str, options: &str) -> Result<(), ArgsError> {
+        let reads = |names: &str, name: &str| names.split_whitespace().any(|n| n == name);
+        let stray_options = self.options.keys().filter(|n| !reads(options, n));
+        let stray_flags = self.flags.iter().filter(|n| !reads(flags, n));
+        let Some(name) = stray_options.chain(stray_flags).min() else {
+            return Ok(());
+        };
+        let command: Vec<&str> = self
+            .command
+            .iter()
+            .chain(&self.action)
+            .map(String::as_str)
+            .collect();
+        Err(ArgsError::Unread(if reads(options, name) {
+            format!("--{name} needs a value")
+        } else if reads(flags, name) {
+            format!("--{name} takes no value")
+        } else {
+            format!("`fakeaudit {}` does not read --{name}", command.join(" "))
+        }))
     }
 
     /// Whether a boolean flag was passed.
@@ -198,6 +235,25 @@ mod tests {
         assert!(p.flag("quiet"));
         assert_eq!(p.get_or("followers", 0u64).unwrap(), 1_000);
         assert!(!parse(&["crawl"]).unwrap().flag("quiet"));
+    }
+
+    #[test]
+    fn check_names_what_the_command_does_not_read() {
+        let p = parse(&["crawl", "--folowers", "5", "--quiet"]).unwrap();
+        assert_eq!(p.check("quiet", "followers folowers"), Ok(()));
+        let err = p.check("quiet", "followers").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "`fakeaudit crawl` does not read --folowers"
+        );
+        let err = p.check("", "folowers").unwrap_err();
+        assert!(err.to_string().contains("--quiet"), "{err}");
+        let p = parse(&["exp", "table3", "--quick", "1"]).unwrap();
+        let err = p.check("quick", "seed").unwrap_err();
+        assert_eq!(err.to_string(), "--quick takes no value");
+        let p = parse(&["exp", "table3", "--seed"]).unwrap();
+        let err = p.check("quick", "seed").unwrap_err();
+        assert_eq!(err.to_string(), "--seed needs a value");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! fakeaudit serve-sim --rate 4 --policy degrade --burst
 //! fakeaudit serve --port 8080 --workers 2 --policy degrade
 //! fakeaudit trace analyze --input trace.jsonl
+//! fakeaudit exp table3 --quick
 //! fakeaudit bench compare --input results/BENCH_gateway.json --tolerance 15%
 //! ```
 
@@ -18,6 +19,7 @@ use args::ParsedArgs;
 use fakeaudit_analytics::{report, BreakerConfig, OnlineService, ServiceProfile};
 use fakeaudit_bench::ledger::{self, LedgerEntry};
 use fakeaudit_core::experiments::service_load::ServingWorld;
+use fakeaudit_core::experiments::{Run, Scale, EXPERIMENTS};
 use fakeaudit_core::panel::AuditPanel;
 use fakeaudit_core::scoring::score_against_truth;
 use fakeaudit_detectors::{FakeProjectEngine, Socialbakers, StatusPeople, ToolId, Twitteraudit};
@@ -123,15 +125,15 @@ USAGE:
       startup recovery a reopen would (settle interrupted compactions,
       quarantine corrupt segments as .bad, drop stale WALs).
 
-  fakeaudit chaos [--seed S] [--full] [--persist DIR] [--fsync P]
-      Run the E10 chaos sweep: an injected per-call API fault rate
-      (bursty 503/429/timeout/truncation) against three resilience arms
-      — no retries, capped-backoff retries, retries behind a per-tool
-      circuit breaker that degrades to stale — reporting goodput, tail
-      latency, stale-served counts and circuit open time per cell. The
-      sweep is seed-deterministic: same seed, byte-identical table.
-      --persist appends every answered audit to a history store at DIR
-      (cells run serially so the segment files are byte-deterministic).
+  fakeaudit exp <name> [--quick] [--seed S] [--out PATH]
+                       [--persist DIR] [--fsync P]
+  fakeaudit exp --list
+      Run one of the paper's deterministic experiments and print its
+      artifact, or write it to PATH. At the defaults (full scale, seed
+      2014) that is the committed file --list names; E14 and E15 print
+      their tables on stderr. --quick runs a reduced scale. --persist
+      (E8 and E10 only) appends every answered audit to a history store
+      in DIR, byte-identical for a seed.
 
   fakeaudit trace analyze --input PATH
       Read a JSONL trace and print per-tool latency attribution (queue /
@@ -207,6 +209,7 @@ fn main() {
         (Some("bench"), _) => cmd_bench(&parsed),
         (Some("query"), _) => cmd_query(&parsed),
         (Some("store"), _) => cmd_store(&parsed),
+        (Some("exp"), _) => cmd_exp(&parsed),
         (Some(cmd), Some(action)) => Err(format!(
             "unexpected argument {action:?} after {cmd:?}\n\n{USAGE}"
         )),
@@ -215,7 +218,6 @@ fn main() {
         (Some("sample-size"), None) => cmd_sample_size(&parsed),
         (Some("serve-sim"), None) => cmd_serve_sim(&parsed),
         (Some("serve"), None) => cmd_serve(&parsed),
-        (Some("chaos"), None) => cmd_chaos(&parsed),
         (Some("help"), None) | (None, _) => {
             println!("{USAGE}");
             Ok(())
@@ -229,6 +231,11 @@ fn main() {
 }
 
 fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
+    args.check(
+        "quiet reports",
+        "followers inactive fake recency-bias fc-sample seed name telemetry",
+    )
+    .map_err(|e| e.to_string())?;
     let followers: usize = args
         .get_or("followers", 10_000)
         .map_err(|e| e.to_string())?;
@@ -308,6 +315,8 @@ fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_crawl(args: &ParsedArgs) -> Result<(), String> {
+    args.check("quiet", "followers telemetry")
+        .map_err(|e| e.to_string())?;
     let followers: u64 = args
         .get_or("followers", 41_000_000)
         .map_err(|e| e.to_string())?;
@@ -329,34 +338,74 @@ fn cmd_crawl(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_chaos(args: &ParsedArgs) -> Result<(), String> {
-    let seed: u64 = args.get_or("seed", 2_014).map_err(|e| e.to_string())?;
-    let scale = if args.flag("full") {
-        fakeaudit_core::experiments::Scale::full()
+fn cmd_exp(args: &ParsedArgs) -> Result<(), String> {
+    let Some(name) = args.action.as_deref() else {
+        args.check("list", "").map_err(|e| e.to_string())?;
+        if !args.flag("list") {
+            return Err("exp needs an experiment name (try: fakeaudit exp --list)".into());
+        }
+        for e in &EXPERIMENTS {
+            println!(
+                "{:<24} {:<4} {:<35} {}",
+                e.name, e.id, e.artifact, e.section
+            );
+        }
+        return Ok(());
+    };
+    let exp = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| format!("unknown experiment {name:?} (try: fakeaudit exp --list)"))?;
+    let (flags, options) = match exp.run {
+        Run::Fixed(_) => ("", "out"),
+        Run::Seeded(_) => ("", "out seed"),
+        Run::Scaled(_) => ("quick", "out seed"),
+        Run::Persisting(_) if args.raw("persist").is_some() => ("quick", "out seed persist fsync"),
+        Run::Persisting(_) => ("quick", "out seed persist"),
+    };
+    args.check(flags, options).map_err(|e| e.to_string())?;
+    let scale = if args.flag("quick") {
+        Scale::quick()
     } else {
-        fakeaudit_core::experiments::Scale::quick()
+        Scale::full()
     };
-    let persist_dir = args.raw("persist").map(str::to_string);
+    let seed: u64 = args.get_or("seed", 2_014).map_err(|e| e.to_string())?;
+    let persist_dir = args.raw("persist");
     let fsync = fsync_from_args(args)?;
-    let writer = match &persist_dir {
-        Some(dir) => Some(
+    let writer = persist_dir
+        .map(|dir| {
             open_shared_with(dir, fsync)
-                .map_err(|e| format!("cannot open history store {dir}: {e}"))?,
-        ),
-        None => None,
-    };
-    let result =
-        fakeaudit_core::experiments::chaos::run_chaos_persisted(scale, seed, writer.clone());
-    print!("{}", fakeaudit_core::experiments::chaos::render(&result));
-    if let (Some(writer), Some(dir)) = (&writer, &persist_dir) {
+                .map_err(|e| format!("cannot open history store {dir}: {e}"))
+        })
+        .transpose()?;
+    let output = exp.run(scale, seed, writer.clone())?;
+    if let (Some(writer), Some(dir)) = (&writer, persist_dir) {
         let health = flush_writer(writer, &Telemetry::disabled())
             .map_err(|e| format!("history flush failed for {dir}: {e}"))?;
-        println!(
-            "  history: {} rows across {} segments in {dir} (try: fakeaudit query topk --dir {dir})",
+        eprintln!(
+            "history: {} rows across {} segments in {dir} (try: fakeaudit query topk --dir {dir})",
             health.flushed_rows, health.segments
         );
     }
+    eprint!("{}", output.table);
+    match args.raw("out") {
+        Some(path) => {
+            std::fs::write(path, &output.artifact)
+                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{}", output.artifact),
+    }
     Ok(())
+}
+
+/// Parses `--policy block|shed|degrade` (default: shed).
+fn policy_from_args(args: &ParsedArgs) -> Result<OverloadPolicy, String> {
+    let name = args.raw("policy").unwrap_or("shed");
+    OverloadPolicy::ALL
+        .into_iter()
+        .find(|p| p.label() == name)
+        .ok_or_else(|| format!("--policy must be block, shed or degrade, got {name:?}"))
 }
 
 /// Parses `--fsync never|on-flush|on-append` (default: on-flush).
@@ -394,6 +443,8 @@ fn query_options_from_args(args: &ParsedArgs) -> Result<QueryOptions, String> {
 }
 
 fn cmd_query(args: &ParsedArgs) -> Result<(), String> {
+    args.check("", "dir format since until bucket k by")
+        .map_err(|e| e.to_string())?;
     let kind: QueryKind = args
         .action
         .as_deref()
@@ -418,6 +469,7 @@ fn cmd_query(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_store(args: &ParsedArgs) -> Result<(), String> {
+    args.check("", "dir").map_err(|e| e.to_string())?;
     let dir = args.raw("dir").unwrap_or("history");
     match args.action.as_deref() {
         Some("stats") => {
@@ -497,6 +549,12 @@ fn cmd_store(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_serve_sim(args: &ParsedArgs) -> Result<(), String> {
+    args.check(
+        "slo burst quiet",
+        "rate duration workers queue targets followers fc-sample seed fault-rate alert-log \
+         policy persist fsync telemetry",
+    )
+    .map_err(|e| e.to_string())?;
     let rate: f64 = args.get_or("rate", 4.0).map_err(|e| e.to_string())?;
     let duration: f64 = args.get_or("duration", 300.0).map_err(|e| e.to_string())?;
     let workers: usize = args.get_or("workers", 2).map_err(|e| e.to_string())?;
@@ -519,16 +577,7 @@ fn cmd_serve_sim(args: &ParsedArgs) -> Result<(), String> {
     if targets_n == 0 || followers == 0 {
         return Err("--targets and --followers must be positive".into());
     }
-    let policy = match args.raw("policy").unwrap_or("shed") {
-        "block" => OverloadPolicy::Block,
-        "shed" => OverloadPolicy::Shed,
-        "degrade" => OverloadPolicy::DegradeStale,
-        other => {
-            return Err(format!(
-                "--policy must be block, shed or degrade, got {other:?}"
-            ))
-        }
-    };
+    let policy = policy_from_args(args)?;
 
     if !quiet {
         eprintln!("building {targets_n} targets ({followers} followers each) ...");
@@ -788,6 +837,12 @@ mod sigint {
 }
 
 fn cmd_serve(args: &ParsedArgs) -> Result<(), String> {
+    args.check(
+        "quiet full slo",
+        "host port workers queue-depth targets seed duration policy accept-threads persist \
+         fsync telemetry",
+    )
+    .map_err(|e| e.to_string())?;
     let host = args.raw("host").unwrap_or("127.0.0.1");
     let port: u16 = args.get_or("port", 8080).map_err(|e| e.to_string())?;
     let workers: usize = args.get_or("workers", 2).map_err(|e| e.to_string())?;
@@ -799,20 +854,11 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), String> {
     if workers == 0 || targets_n == 0 {
         return Err("--workers and --targets must be positive".into());
     }
-    let policy = match args.raw("policy").unwrap_or("shed") {
-        "block" => OverloadPolicy::Block,
-        "shed" => OverloadPolicy::Shed,
-        "degrade" => OverloadPolicy::DegradeStale,
-        other => {
-            return Err(format!(
-                "--policy must be block, shed or degrade, got {other:?}"
-            ))
-        }
-    };
+    let policy = policy_from_args(args)?;
     let scale = if args.flag("full") {
-        fakeaudit_core::experiments::Scale::full()
+        Scale::full()
     } else {
-        fakeaudit_core::experiments::Scale::quick()
+        Scale::quick()
     };
 
     if !quiet {
@@ -978,22 +1024,31 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
+type TraceAction = fn(&ParsedArgs, &[TraceEvent]) -> Result<(), String>;
+
 fn cmd_trace(args: &ParsedArgs) -> Result<(), String> {
+    let (options, action): (&str, TraceAction) = match args.action.as_deref().unwrap_or("analyze") {
+        "analyze" => ("input", |_, events| trace_analyze(events)),
+        "export" => ("input format output", trace_export),
+        "slo" => (
+            "input window step quantile latency-slo availability",
+            trace_slo,
+        ),
+        "profile" => ("input output top", trace_profile),
+        other => {
+            return Err(format!(
+                "unknown trace action {other:?} (try analyze, export, slo, profile)\n\n{USAGE}"
+            ))
+        }
+    };
+    args.check("", options).map_err(|e| e.to_string())?;
     let input = args
         .raw("input")
         .ok_or("trace needs --input PATH (a JSONL trace written by --telemetry)")?;
     let text =
         std::fs::read_to_string(input).map_err(|e| format!("cannot read trace {input:?}: {e}"))?;
     let events = parse_jsonl(&text).map_err(|e| e.to_string())?;
-    match args.action.as_deref().unwrap_or("analyze") {
-        "analyze" => trace_analyze(&events),
-        "export" => trace_export(args, &events),
-        "slo" => trace_slo(args, &events),
-        "profile" => trace_profile(args, &events),
-        other => Err(format!(
-            "unknown trace action {other:?} (try analyze, export, slo, profile)\n\n{USAGE}"
-        )),
-    }
+    action(args, &events)
 }
 
 fn trace_profile(args: &ParsedArgs, events: &[TraceEvent]) -> Result<(), String> {
@@ -1029,6 +1084,16 @@ fn cmd_bench(args: &ParsedArgs) -> Result<(), String> {
         .action
         .as_deref()
         .ok_or_else(|| format!("bench needs an action (record or compare)\n\n{USAGE}"))?;
+    match action {
+        "record" => args.check("", "input ledger label"),
+        "compare" => args.check("", "input ledger tolerance"),
+        other => {
+            return Err(format!(
+                "unknown bench action {other:?} (try record, compare)\n\n{USAGE}"
+            ))
+        }
+    }
+    .map_err(|e| e.to_string())?;
     let input = args.raw("input").unwrap_or("results/BENCH_gateway.json");
     let ledger_path = args.raw("ledger").unwrap_or("results/ledger.jsonl");
     let bench_text = std::fs::read_to_string(input)
@@ -1069,9 +1134,7 @@ fn cmd_bench(args: &ParsedArgs) -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!(
-            "unknown bench action {other:?} (try record, compare)\n\n{USAGE}"
-        )),
+        _ => unreachable!("actions are matched above"),
     }
 }
 
@@ -1151,6 +1214,8 @@ fn trace_slo(args: &ParsedArgs, events: &[TraceEvent]) -> Result<(), String> {
 }
 
 fn cmd_sample_size(args: &ParsedArgs) -> Result<(), String> {
+    args.check("", "margin confidence")
+        .map_err(|e| e.to_string())?;
     let margin: f64 = args.get_or("margin", 0.01).map_err(|e| e.to_string())?;
     let confidence: u32 = args.get_or("confidence", 95).map_err(|e| e.to_string())?;
     let level = match confidence {
@@ -1200,6 +1265,26 @@ mod tests {
                     "{flag} {bad}: {err}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn commands_name_the_option_they_do_not_read() {
+        for (args, option) in [
+            (&["crawl", "--folowers", "5"][..], "--folowers"),
+            (&["exp", "table3", "--seeds", "7"], "--seeds"),
+            (&["exp", "exp_bias", "--persist", "DIR"], "--persist"),
+            (&["exp", "table1", "--seed", "7"], "--seed"),
+            (&["exp", "exp_cache_ablation", "--quick"], "--quick"),
+            (&["exp", "exp_chaos", "--fsync", "never"], "--fsync"),
+        ] {
+            let p = parsed(args);
+            let err = match args[0] {
+                "crawl" => cmd_crawl(&p),
+                _ => cmd_exp(&p),
+            }
+            .unwrap_err();
+            assert!(err.contains(option), "{args:?}: {err}");
         }
     }
 

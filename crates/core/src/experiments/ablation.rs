@@ -57,6 +57,15 @@ impl Default for AblationParams {
     }
 }
 
+impl AblationParams {
+    /// The quick-scale run: the default burst over 6 000 followers.
+    pub const QUICK: Self = Self {
+        followers: 6_000,
+        fake_fraction: 0.10,
+        recency_bias: 30.0,
+    };
+}
+
 /// Runs the sampling ablation.
 ///
 /// # Panics
@@ -187,14 +196,6 @@ mod tests {
     use super::*;
     use fakeaudit_stats::summary::Summary;
 
-    fn quick() -> AblationParams {
-        AblationParams {
-            followers: 6_000,
-            fake_fraction: 0.10,
-            recency_bias: 30.0,
-        }
-    }
-
     /// The fixed seed set the claims are checked over, and how many of
     /// its seeds each claim must hold at.
     const SEEDS: std::ops::RangeInclusive<u64> = 1..=16;
@@ -214,7 +215,9 @@ mod tests {
         // its uniform share at only 9 of these 16 seeds (the gap runs from
         // -2.1 to +3.9 points): under this model its error is not a
         // sampling effect.
-        let runs: Vec<AblationResult> = SEEDS.map(|seed| run_ablation(quick(), seed)).collect();
+        let runs: Vec<AblationResult> = SEEDS
+            .map(|seed| run_ablation(AblationParams::QUICK, seed))
+            .collect();
         fn row<'a>(r: &'a AblationResult, tool: &str) -> &'a AblationRow {
             r.rows.iter().find(|x| x.tool == tool).unwrap()
         }
@@ -267,12 +270,15 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(run_ablation(quick(), 3), run_ablation(quick(), 3));
+        assert_eq!(
+            run_ablation(AblationParams::QUICK, 3),
+            run_ablation(AblationParams::QUICK, 3)
+        );
     }
 
     #[test]
     fn render_has_three_tools() {
-        let s = render(&run_ablation(quick(), 4));
+        let s = render(&run_ablation(AblationParams::QUICK, 4));
         assert!(s.contains("Twitteraudit"));
         assert!(s.contains("StatusPeople"));
         assert!(s.contains("Socialbakers"));
@@ -284,7 +290,7 @@ mod tests {
         run_ablation(
             AblationParams {
                 fake_fraction: 0.9,
-                ..quick()
+                ..AblationParams::QUICK
             },
             1,
         );

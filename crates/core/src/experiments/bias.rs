@@ -43,6 +43,18 @@ impl Default for BiasParams {
     }
 }
 
+impl BiasParams {
+    /// The quick-scale run: a fifth of the paper's population, a
+    /// 500-record window.
+    pub const QUICK: Self = Self {
+        genuine: 20_000,
+        bought: 2_000,
+        window: 500,
+        sample_size: 500,
+        repetitions: 30,
+    };
+}
+
 /// Outcome of the bias experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BiasResult {

@@ -46,6 +46,17 @@ impl Default for BurstParams {
     }
 }
 
+impl BurstParams {
+    /// The quick-scale run: a fifth of the default base and burst.
+    pub const QUICK: Self = Self {
+        organic_followers: 3_000,
+        bought: 300,
+        organic_per_day: 120,
+        audit_days: [0, 7, 14, 28],
+        fc_sample: 1_000,
+    };
+}
+
 /// One audited day.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstPoint {

@@ -275,15 +275,6 @@ fn run_cell(ctx: &CellContext<'_>, arm: Arm, rate: f64) -> ChaosRow {
     }
 }
 
-/// Runs the E10 chaos sweep.
-///
-/// # Panics
-///
-/// Panics on internal inconsistencies only (scenario build, prewarm).
-pub fn run_chaos(scale: Scale, seed: u64) -> ChaosResult {
-    run_chaos_persisted(scale, seed, None)
-}
-
 /// Runs the E10 chaos sweep, optionally appending every answered audit
 /// to a shared history-store writer.
 ///
@@ -421,7 +412,7 @@ mod tests {
 
     fn result() -> &'static ChaosResult {
         static R: std::sync::OnceLock<ChaosResult> = std::sync::OnceLock::new();
-        R.get_or_init(|| run_chaos(Scale::quick(), 7))
+        R.get_or_init(|| run_chaos_persisted(Scale::quick(), 7, None))
     }
 
     fn row<'a>(r: &'a ChaosResult, arm: &str, rate: f64) -> &'a ChaosRow {
@@ -446,7 +437,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_table() {
-        let again = run_chaos(Scale::quick(), 7);
+        let again = run_chaos_persisted(Scale::quick(), 7, None);
         assert_eq!(result(), &again);
         assert_eq!(render(result()), render(&again));
     }

@@ -28,7 +28,7 @@
 //! seeded points always land inside the append/flush path. Same seed
 //! ⇒ byte-identical tables.
 
-use fakeaudit_stats::rng::derive_seed;
+use fakeaudit_stats::rng::{derive_seed, splitmix64};
 use fakeaudit_store::{
     verify_with, AuditRecord, CrashMode, FaultScript, FsyncPolicy, MemIo, Projection, ScanOptions,
     Store, StoreIo, StoreWriter,
@@ -114,16 +114,6 @@ pub struct CrashRecoveryResult {
     pub rows_per_run: u64,
     /// Flush threshold (rows per segment).
     pub flush_threshold: u64,
-}
-
-/// SplitMix64 — the one-liner generator the fault scripts key on; kept
-/// local so the sweep's op indices never depend on `rand` internals.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A distinct, recognisable row: `trace_id` carries the append index,
@@ -230,7 +220,8 @@ fn run_cell(
         quarantined_segments: 0,
     };
     for k in 0..points {
-        let crash_at = 1 + splitmix(cell_seed.wrapping_add(k)) % op_space;
+        let mut state = cell_seed.wrapping_add(k);
+        let crash_at = 1 + splitmix64(&mut state) % op_space;
         let io = MemIo::shared(FaultScript {
             crash_at_op: Some(crash_at),
             crash_mode: Some(mode),
@@ -287,10 +278,16 @@ fn run_corruption(seed: u64, flips: u64) -> CorruptionSummary {
             .collect();
         segments.sort();
         assert_eq!(segments.len() as u64, CORRUPT_SEGMENTS);
-        let r = splitmix(arm_seed.wrapping_add(k));
+        let mut state = arm_seed.wrapping_add(k);
+        let r = splitmix64(&mut state);
         let victim = Path::new(DIR).join(&segments[(r % CORRUPT_SEGMENTS) as usize]);
         let len = io.read(&victim).expect("read victim").len();
-        io.flip_bit(&victim, (splitmix(r) % len as u64) as usize, (r % 8) as u8);
+        let mut state = r;
+        io.flip_bit(
+            &victim,
+            (splitmix64(&mut state) % len as u64) as usize,
+            (r % 8) as u8,
+        );
 
         let report = verify_with(io.as_ref(), Path::new(DIR)).expect("verify walks the dir");
         if !report.issues.is_empty() {
@@ -418,6 +415,93 @@ pub fn render(r: &CrashRecoveryResult) -> String {
     out
 }
 
+/// Refuses a sweep that documents a broken durability promise: an
+/// `on-append` acked-row loss, a flush-acked loss under a syncing
+/// policy, a corrupted segment that failed an open, or a seeded bit
+/// flip `verify` missed.
+///
+/// # Errors
+///
+/// Names the first broken promise.
+pub fn check(r: &CrashRecoveryResult) -> Result<(), String> {
+    for c in &r.cells {
+        if c.fsync == "on-append" && c.acked_rows_lost != 0 {
+            return Err(format!(
+                "{}/{}: on-append lost {} acked rows — the ack is broken",
+                c.fsync, c.mode, c.acked_rows_lost
+            ));
+        }
+        if c.fsync != "never" && c.flushed_rows_lost != 0 {
+            return Err(format!(
+                "{}/{}: lost {} rows whose flush was acked",
+                c.fsync, c.mode, c.flushed_rows_lost
+            ));
+        }
+    }
+    let cr = &r.corruption;
+    if cr.opens_failed != 0 {
+        return Err("a corrupted segment failed Store::open instead of degrading".into());
+    }
+    if cr.verify_flagged != cr.flips {
+        return Err("verify missed a seeded bit flip".into());
+    }
+    Ok(())
+}
+
+/// Renders the sweep as `results/BENCH_recovery.json`.
+pub fn render_json(seed: u64, r: &CrashRecoveryResult) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{{");
+    let _ = writeln!(out, "  \"schema_version\": 1,");
+    let _ = writeln!(out, "  \"bench\": \"recovery\",");
+    let _ = writeln!(
+        out,
+        "  \"config\": {{\n    \"seed\": {seed},\n    \"crash_points\": {},\n    \
+         \"rows_per_run\": {},\n    \"flush_threshold\": {}\n  }},",
+        r.crash_points, r.rows_per_run, r.flush_threshold,
+    );
+    let _ = writeln!(out, "  \"scenarios\": [");
+    for (i, c) in r.cells.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"fsync\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \"op_space\": {}, \
+             \"rows_acked\": {}, \"rows_flush_acked\": {}, \"rows_recovered\": {}, \
+             \"acked_rows_lost\": {}, \"max_acked_lost\": {}, \"flushed_rows_lost\": {}, \
+             \"wal_rows_recovered\": {}, \"quarantined_segments\": {}}}",
+            c.fsync,
+            c.mode,
+            c.runs,
+            c.op_space,
+            c.rows_acked,
+            c.rows_flush_acked,
+            c.rows_recovered,
+            c.acked_rows_lost,
+            c.max_acked_lost,
+            c.flushed_rows_lost,
+            c.wal_rows_recovered,
+            c.quarantined_segments,
+        );
+        let _ = writeln!(out, "{}", if i + 1 < r.cells.len() { "," } else { "" });
+    }
+    let _ = writeln!(out, "  ],");
+    let cr = &r.corruption;
+    let _ = writeln!(
+        out,
+        "  \"corruption\": {{\"flips\": {}, \"rows_per_store\": {}, \"verify_flagged\": {}, \
+         \"opens_failed\": {}, \"quarantined_segments\": {}, \"rows_served\": {}, \
+         \"rows_expected\": {}}}",
+        cr.flips,
+        cr.rows_per_store,
+        cr.verify_flagged,
+        cr.opens_failed,
+        cr.quarantined_segments,
+        cr.rows_served,
+        cr.rows_expected,
+    );
+    let _ = writeln!(out, "}}");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,5 +564,39 @@ mod tests {
         let again = run_crash_recovery(Scale::quick(), 42);
         assert_eq!(&again, result());
         assert_eq!(render(&again), render(result()));
+    }
+
+    #[test]
+    fn check_refuses_every_broken_promise() {
+        fn cell<'a>(r: &'a mut CrashRecoveryResult, fsync: &str) -> &'a mut CrashCell {
+            r.cells.iter_mut().find(|c| c.fsync == fsync).unwrap()
+        }
+        assert_eq!(check(result()), Ok(()));
+        let mut lossy_never = result().clone();
+        cell(&mut lossy_never, "never").flushed_rows_lost += 1;
+        assert_eq!(check(&lossy_never), Ok(()), "never promises nothing");
+
+        type Break = fn(&mut CrashRecoveryResult);
+        let broken: [(Break, &str); 4] = [
+            (
+                |r| cell(r, "on-append").acked_rows_lost = 1,
+                "the ack is broken",
+            ),
+            (
+                |r| cell(r, "on-flush").flushed_rows_lost = 1,
+                "whose flush was acked",
+            ),
+            (|r| r.corruption.opens_failed = 1, "failed Store::open"),
+            (
+                |r| r.corruption.verify_flagged -= 1,
+                "missed a seeded bit flip",
+            ),
+        ];
+        for (breaks, says) in broken {
+            let mut r = result().clone();
+            breaks(&mut r);
+            let err = check(&r).unwrap_err();
+            assert!(err.contains(says), "{err:?} should say {says:?}");
+        }
     }
 }

@@ -437,6 +437,74 @@ pub fn render(r: &DetectTimeResult) -> String {
     out
 }
 
+/// Refuses a sweep that measured nothing: a fault stream with no
+/// ground-truth incident, or a monitor that detected none of them.
+///
+/// # Errors
+///
+/// Says which of the two it was.
+pub fn check(r: &DetectTimeResult) -> Result<(), String> {
+    if r.bursts.is_empty() {
+        return Err("fault stream produced no ground-truth incidents — nothing measured".into());
+    }
+    if r.rows.iter().all(|row| row.detected == 0) {
+        return Err("no window config detected any incident — the monitor is blind".into());
+    }
+    Ok(())
+}
+
+/// Renders the sweep as `results/BENCH_monitor.json`.
+pub fn render_json(seed: u64, r: &DetectTimeResult) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{{");
+    let _ = writeln!(out, "  \"schema_version\": 1,");
+    let _ = writeln!(out, "  \"bench\": \"monitor\",");
+    let _ = writeln!(
+        out,
+        "  \"config\": {{\n    \"seed\": {seed},\n    \"duration_secs\": {:.1},\n    \
+         \"step_secs\": {:.1},\n    \"fault_rate\": {},\n    \"burst_factor\": {:.1},\n    \
+         \"requests\": {},\n    \"faults\": {},\n    \"incidents\": {}\n  }},",
+        r.duration_secs,
+        r.step_secs,
+        r.fault_rate,
+        r.burst_factor,
+        r.requests,
+        r.faults,
+        r.bursts.len(),
+    );
+    let _ = writeln!(out, "  \"scenarios\": [");
+    for (i, row) in r.rows.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"name\": \"{}\", \"short_secs\": {:.1}, \"long_secs\": {:.1}, \
+             \"burn_threshold\": {:.1}, \"pending_secs\": {:.1}, \"clear_secs\": {:.1}, \
+             \"bursts\": {}, \"detected\": {}, \"fresh\": {}, \"carryover\": {}, \
+             \"missed\": {}, \"false_firings\": {}, \"mean_ttd_secs\": {:.1}, \
+             \"max_ttd_secs\": {:.1}, \"mean_ttr_secs\": {:.1}, \"transitions\": {}}}",
+            row.config.name,
+            row.config.short_secs,
+            row.config.long_secs,
+            row.config.burn_threshold,
+            row.config.pending_secs,
+            row.config.clear_secs,
+            row.bursts,
+            row.detected,
+            row.fresh,
+            row.carryover,
+            row.missed,
+            row.false_firings,
+            row.mean_ttd_secs,
+            row.max_ttd_secs,
+            row.mean_ttr_secs,
+            row.transitions,
+        );
+        let _ = writeln!(out, "{}", if i + 1 < r.rows.len() { "," } else { "" });
+    }
+    let _ = writeln!(out, "  ]");
+    let _ = writeln!(out, "}}");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,5 +617,20 @@ mod tests {
             assert!(text.contains(name), "{name} missing:\n{text}");
         }
         assert!(text.contains("ttd (s)"));
+    }
+
+    #[test]
+    fn check_refuses_a_sweep_that_measured_nothing() {
+        assert_eq!(check(result()), Ok(()));
+        let mut quiet = result().clone();
+        quiet.bursts.clear();
+        assert!(check(&quiet)
+            .unwrap_err()
+            .contains("no ground-truth incidents"));
+        let mut blind = result().clone();
+        for row in &mut blind.rows {
+            row.detected = 0;
+        }
+        assert!(check(&blind).unwrap_err().contains("the monitor is blind"));
     }
 }

@@ -39,6 +39,16 @@ impl Default for OrderingParams {
     }
 }
 
+impl OrderingParams {
+    /// The quick-scale run: 500 followers over ten days.
+    pub const QUICK: Self = Self {
+        initial_followers: 500,
+        days: 10,
+        arrivals_per_day: 15,
+        unfollows_per_day: 2,
+    };
+}
+
 /// The experiment's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderingResult {

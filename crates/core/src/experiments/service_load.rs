@@ -286,16 +286,7 @@ fn run_cell(
     }
 }
 
-/// Runs the E8 offered-load sweep.
-///
-/// # Panics
-///
-/// Panics on internal inconsistencies only (scenario build, prewarm).
-pub fn run_service_load(scale: Scale, seed: u64) -> ServiceLoadResult {
-    run_service_load_persisted(scale, seed, None)
-}
-
-/// [`run_service_load`] with an optional audit-history writer. With a
+/// Runs the E8 offered-load sweep, with an optional audit-history writer. With a
 /// writer the cells run *serially* in grid order — every completed audit
 /// appends through the one shared writer, and serial order is what makes
 /// the resulting segment bytes a pure function of the seed. Without one
@@ -445,7 +436,7 @@ mod tests {
 
     fn result() -> &'static ServiceLoadResult {
         static R: std::sync::OnceLock<ServiceLoadResult> = std::sync::OnceLock::new();
-        R.get_or_init(|| run_service_load(Scale::quick(), 7))
+        R.get_or_init(|| run_service_load_persisted(Scale::quick(), 7, None))
     }
 
     fn rows_of<'a>(r: &'a ServiceLoadResult, policy: &str) -> Vec<&'a ServiceLoadRow> {
@@ -463,7 +454,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_table() {
-        let again = run_service_load(Scale::quick(), 7);
+        let again = run_service_load_persisted(Scale::quick(), 7, None);
         assert_eq!(result(), &again);
         assert_eq!(render(result()), render(&again));
     }

@@ -66,7 +66,7 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// One splitmix64 step: advances `state` and returns its mixed word.
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     mix64(*state)
 }
