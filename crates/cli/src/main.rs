@@ -360,8 +360,7 @@ fn cmd_exp(args: &ParsedArgs) -> Result<(), String> {
         Run::Fixed(_) => ("", "out"),
         Run::Seeded(_) => ("", "out seed"),
         Run::Scaled(_) => ("quick", "out seed"),
-        Run::Persisting(_) if args.raw("persist").is_some() => ("quick", "out seed persist fsync"),
-        Run::Persisting(_) => ("quick", "out seed persist"),
+        Run::Persisting(_) => ("quick", "out seed persist fsync"),
     };
     args.check(flags, options).map_err(|e| e.to_string())?;
     let scale = if args.flag("quick") {
@@ -408,11 +407,13 @@ fn policy_from_args(args: &ParsedArgs) -> Result<OverloadPolicy, String> {
         .ok_or_else(|| format!("--policy must be block, shed or degrade, got {name:?}"))
 }
 
-/// Parses `--fsync never|on-flush|on-append` (default: on-flush).
+/// Parses `--fsync never|on-flush|on-append` (default: on-flush), which
+/// only a `--persist` store reads.
 fn fsync_from_args(args: &ParsedArgs) -> Result<FsyncPolicy, String> {
-    match args.raw("fsync") {
-        None => Ok(FsyncPolicy::default()),
-        Some(s) => FsyncPolicy::parse(s)
+    match (args.raw("fsync"), args.raw("persist")) {
+        (None, _) => Ok(FsyncPolicy::default()),
+        (Some(_), None) => Err("--fsync needs --persist DIR".into()),
+        (Some(s), Some(_)) => FsyncPolicy::parse(s)
             .ok_or_else(|| format!("--fsync must be never, on-flush or on-append, got {s:?}")),
     }
 }
@@ -578,6 +579,7 @@ fn cmd_serve_sim(args: &ParsedArgs) -> Result<(), String> {
         return Err("--targets and --followers must be positive".into());
     }
     let policy = policy_from_args(args)?;
+    let fsync = fsync_from_args(args)?;
 
     if !quiet {
         eprintln!("building {targets_n} targets ({followers} followers each) ...");
@@ -631,7 +633,6 @@ fn cmd_serve_sim(args: &ParsedArgs) -> Result<(), String> {
         telemetry.clone(),
     );
     let persist_dir = args.raw("persist").map(str::to_string);
-    let fsync = fsync_from_args(args)?;
     let writer = match &persist_dir {
         Some(dir) => {
             let writer = open_shared_with(dir, fsync)
@@ -855,6 +856,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), String> {
         return Err("--workers and --targets must be positive".into());
     }
     let policy = policy_from_args(args)?;
+    let fsync = fsync_from_args(args)?;
     let scale = if args.flag("full") {
         Scale::full()
     } else {
@@ -910,7 +912,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), String> {
             deadline_secs: None,
         },
         persist: persist_dir.as_deref().map(Into::into),
-        fsync: fsync_from_args(args)?,
+        fsync,
         slo: slo.then(|| MonitorConfig::wall_default(seed)),
         ..defaults
     };
@@ -1277,10 +1279,12 @@ mod tests {
             (&["exp", "table1", "--seed", "7"], "--seed"),
             (&["exp", "exp_cache_ablation", "--quick"], "--quick"),
             (&["exp", "exp_chaos", "--fsync", "never"], "--fsync"),
+            (&["serve-sim", "--fsync", "on-append"], "--fsync"),
         ] {
             let p = parsed(args);
             let err = match args[0] {
                 "crawl" => cmd_crawl(&p),
+                "serve-sim" => cmd_serve_sim(&p),
                 _ => cmd_exp(&p),
             }
             .unwrap_err();
