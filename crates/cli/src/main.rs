@@ -614,8 +614,7 @@ fn cmd_serve_sim(args: &ParsedArgs) -> Result<(), String> {
         ..p
     };
     // Live tracing: an enabled handle makes every request a causal span
-    // tree; the run itself records the metrics, so no post-hoc
-    // `record_into` (that would double-count).
+    // tree, and the run counts its records into the metrics at the end.
     let telemetry = if args.raw("telemetry").is_some() {
         Telemetry::enabled()
     } else {

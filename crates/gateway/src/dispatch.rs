@@ -2,50 +2,56 @@
 //! backends, each audit served on the thread that submitted it, over the
 //! same [`AuditBackend`] seam the simulator drives.
 //!
-//! This is the "reuse, not fork" core of the gateway. Every policy
-//! decision is made by `crates/server` types, under the simulator's
-//! admission rule:
+//! What it shares with the simulator, and what
+//! `crates/gateway/tests/equivalence.rs` shows: driven on a
+//! `ManualClock` through one arrival script, with one scripted backend
+//! per tool, the dispatcher and `ServerSim` keep the same books, request
+//! by request. Each request gets the same outcome, arrival, start and
+//! finish, each tool the same summary, and both sides write the same
+//! `server.requests` counters, store rows and `server.*` trace events.
+//! Three things are shared code, not copies:
 //!
-//! * admission is an [`AdmissionQueue`] per tool — the same bounded FIFO
-//!   with the same [`OverloadPolicy`] semantics (block, shed-503,
-//!   degrade-to-stale) the discrete-event simulator exercises. As in
-//!   `ServerSim::on_arrival`, an arrival that finds an idle backend is
-//!   served at once (an idle backend implies an empty queue), and only an
-//!   arrival that finds every backend busy is offered to the queue; as in
-//!   `ServerSim::drain_queue`, a caller that finishes hands its backend
-//!   straight to the head of the queue;
-//! * service goes through [`AuditBackend::serve_traced_at`], so the
-//!   analytics `OnlineService` — cache, quota, Table II response times,
-//!   circuit breaker — is byte-for-byte the simulator's backend;
-//! * bookkeeping produces [`RequestRecord`]s and feeds
-//!   [`observe_request`], so `/metrics`, end-of-run reports and the E8/E9
-//!   analysis tooling read identically off either world.
+//! * admission is an [`AdmissionQueue`] per tool, under the simulator's
+//!   rule: an arrival that finds an idle backend is served at once, only
+//!   an arrival that finds every backend busy is offered to the queue,
+//!   and a caller that finishes hands its backend to the queue's head;
+//! * service goes through [`AuditBackend::serve_traced_at`], with the
+//!   same rebased trace context and server-clock time the simulator
+//!   passes;
+//! * what a finished request leaves behind (its spans or refusal point,
+//!   its [`RequestRecord`] and its store row) is written by the same
+//!   [`Books`]; the gateway counts each record as it lands, the
+//!   simulator at the end of its run.
 //!
-//! What differs from the simulator is only the execution substrate. There
-//! are no worker threads: [`Dispatcher::submit`] runs on the caller's
-//! thread (in the gateway, the accept thread that parsed the request),
-//! which takes a backend from its tool's lane, serves, records and hands
-//! the backend on. Each backend is held by one caller at a time —
-//! share-nothing, so no lock is held during service — and a lane's
-//! backend count bounds that tool's concurrent audits. A queued caller
-//! parks until a finishing caller grants it a backend; that grant is the
-//! only cross-thread wake-up. Time comes from a shared [`Clock`]
-//! instead of an event heap.
-//! Service time is the *actual CPU cost* of the audit: the dispatcher
-//! never sleeps out simulated seconds. The simulated Table II cost still
-//! travels in the response (`response_secs`) for cross-checking the two
-//! worlds.
+//! One difference is by design: where the cache lives. A lane's backends
+//! and its stale reader are share-nothing clones, each with its own
+//! cache, while `ServerSim`'s workers share one backend per tool, which
+//! also answers its stale reads. So with `workers_per_tool > 1` cache
+//! hits can differ, and the gateway's stale reader knows only the
+//! reports its clone started with. The equivalence test therefore runs
+//! one backend per tool and a stale reader that knows a fixed set.
+//!
+//! The rest is the execution substrate. There are no worker threads:
+//! [`Dispatcher::submit`] runs on the caller's thread (in the gateway,
+//! the accept thread that parsed the request), which takes a backend
+//! from its tool's lane, serves, records and hands the backend on. Each
+//! backend is held by one caller at a time, so no lock is held during
+//! service, and a lane's backend count bounds that tool's concurrent
+//! audits. A queued caller parks until a finishing caller grants it a
+//! backend; that grant is the only cross-thread wake-up. Time comes from
+//! a shared [`Clock`] instead of an event heap. Service time is the
+//! *actual CPU cost* of the audit: the dispatcher never sleeps out
+//! simulated seconds. The simulated Table II cost still travels in the
+//! response (`response_secs`).
 
 use fakeaudit_analytics::{BreakerState, ServiceError, ServiceResponse};
 use fakeaudit_detectors::ToolId;
 use fakeaudit_server::{
-    audit_record, flush_writer, observe_request, persist_record, writer_health, Admission,
-    AdmissionQueue, AuditBackend, OverloadPolicy, RequestOutcome, RequestRecord, ServerConfig,
-    ServerReport,
+    flush_writer, writer_health, Admission, AdmissionQueue, AuditBackend, Books, OverloadPolicy,
+    Request, RequestRecord, ServerConfig, ServerReport,
 };
 use fakeaudit_store::{SharedWriter, StoreHealth};
-use fakeaudit_telemetry::analyze::names;
-use fakeaudit_telemetry::{Clock, Telemetry, TraceContext};
+use fakeaudit_telemetry::{Clock, Telemetry};
 use fakeaudit_twittersim::{AccountId, Platform};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -246,17 +252,14 @@ pub struct Dispatcher {
     lanes: Vec<Lane>,
     platform: Arc<Platform>,
     telemetry: Telemetry,
-    root: TraceContext,
     clock: Arc<dyn Clock>,
     config: ServerConfig,
-    /// Platform-epoch seconds: backends stamp their sub-spans on the
-    /// platform clock, the gateway on the wall clock; contexts handed to
-    /// backends are rebased across this offset exactly like the
-    /// simulator does.
-    epoch_secs: f64,
+    /// The simulator's bookkeeping, on this gateway's clock.
+    books: Books,
     next_id: AtomicU64,
     records: Mutex<Vec<RequestRecord>>,
-    /// Columnar history writer; every answered request appends one row.
+    /// Columnar history writer: the books append a row per answered
+    /// request, and shutdown flushes it.
     persist: Option<SharedWriter>,
 }
 
@@ -299,8 +302,7 @@ impl Dispatcher {
         if let Some(pool) = pools.first() {
             config.workers_per_tool = pool.workers.len().max(1);
         }
-        let epoch_secs = platform.now().as_secs() as f64;
-        let root = telemetry.root_context();
+        let books = Books::new(&telemetry, &platform, persist.clone());
         let lanes = pools
             .into_iter()
             .map(|pool| Lane {
@@ -321,10 +323,9 @@ impl Dispatcher {
             lanes,
             platform,
             telemetry,
-            root,
             clock,
             config,
-            epoch_secs,
+            books,
             next_id: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
             persist,
@@ -376,21 +377,24 @@ impl Dispatcher {
         target: AccountId,
         mut progress: impl FnMut(JobEvent),
     ) -> Result<Answered, Rejection> {
-        let arrived = self.clock.now_secs();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let req = Request {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            at: self.clock.now_secs(),
+            tool,
+            target,
+        };
         let Some(lane) = self.lanes.iter().find(|l| l.tool == tool) else {
-            return Err(Rejection::Shed);
+            return self.shed(&req);
         };
         let mut st = lock(&lane.state);
         if st.shutting_down {
             drop(st);
-            self.refuse(id, tool, target, arrived, RequestOutcome::Shed);
-            return Err(Rejection::Shed);
+            return self.shed(&req);
         }
         if let Some(backend) = st.idle.pop() {
             drop(st);
             progress(JobEvent::Queued { depth: 0 });
-            return self.serve(lane, id, target, arrived, backend, progress);
+            return self.serve(lane, &req, backend, progress);
         }
         match st.queue.offer(thread::current()) {
             Admission::Enqueued | Admission::Blocked => {
@@ -403,7 +407,7 @@ impl Dispatcher {
                 );
                 progress(JobEvent::Queued { depth });
                 let backend = lane.await_grant();
-                self.serve(lane, id, target, arrived, backend, progress)
+                self.serve(lane, &req, backend, progress)
             }
             Admission::Overloaded => {
                 let stale = if self.config.policy == OverloadPolicy::DegradeStale {
@@ -412,22 +416,21 @@ impl Dispatcher {
                     None
                 };
                 drop(st);
-                match stale {
-                    Some(response) => {
-                        let finished = self.clock.now_secs();
-                        self.record_degraded(id, tool, target, arrived, finished, &response);
-                        Ok(Answered {
-                            response,
-                            source: AnswerSource::Stale,
-                            queue_wait_secs: 0.0,
-                            service_secs: finished - arrived,
-                        })
-                    }
-                    None => {
-                        self.refuse(id, tool, target, arrived, RequestOutcome::Shed);
-                        Err(Rejection::Shed)
-                    }
-                }
+                let Some(response) = stale else {
+                    return self.shed(&req);
+                };
+                let finished = self.clock.now_secs();
+                let open = self.books.open(req.at);
+                let record = self
+                    .books
+                    .degraded(&req, &open, req.at, finished, &response);
+                self.push_record(record);
+                Ok(Answered {
+                    response,
+                    source: AnswerSource::Stale,
+                    queue_wait_secs: 0.0,
+                    service_secs: finished - req.at,
+                })
             }
         }
     }
@@ -485,82 +488,38 @@ impl Dispatcher {
     fn serve(
         &self,
         lane: &Lane,
-        id: u64,
-        target: AccountId,
-        arrived: f64,
+        req: &Request,
         mut backend: BoxedBackend,
         mut progress: impl FnMut(JobEvent),
     ) -> Result<Answered, Rejection> {
-        let tool = lane.tool;
         let now = self.clock.now_secs();
-        if self.config.deadline_secs.is_some_and(|d| now - arrived > d) {
-            self.refuse(id, tool, target, arrived, RequestOutcome::Expired);
+        if self.config.deadline_secs.is_some_and(|d| now - req.at > d) {
+            self.push_record(self.books.expired(req, now));
             lane.hand_on(backend);
             return Err(Rejection::Expired);
         }
         progress(JobEvent::Started);
-        // Mirrors the simulator's `start_service`: `req_ctx` is the
-        // `server.request` span, `svc_ctx` the `server.service` span the
-        // backend nests its own subtree under, rebased from the wall clock
-        // onto the platform's epoch clock.
-        let req_ctx = self.root.child();
-        let svc_ctx = req_ctx.child();
-        let backend_ctx = svc_ctx.clone().rebased(now - self.epoch_secs);
-        let result = match backend.serve_traced_at(&self.platform, target, &backend_ctx, now) {
+        let open = self.books.open(now);
+        let result = match backend.serve_traced_at(&self.platform, req.target, open.backend(), now)
+        {
             Ok(response) => {
                 let finished = self.clock.now_secs();
-                if req_ctx.is_enabled() {
-                    let tool_s = tool.abbrev();
-                    let target_s = target.to_string();
-                    req_ctx.span(names::SERVER_QUEUE_WAIT, arrived, now, &[("tool", tool_s)]);
-                    let source = if response.served_from_cache {
-                        "cache"
-                    } else {
-                        "fresh"
-                    };
-                    svc_ctx.record(
-                        names::SERVER_SERVICE,
-                        now,
-                        finished,
-                        &[("tool", tool_s), ("source", source)],
-                    );
-                    req_ctx.record(
-                        names::SERVER_REQUEST,
-                        arrived,
-                        finished,
-                        &[
-                            ("tool", tool_s),
-                            ("target", &target_s),
-                            ("outcome", "completed"),
-                        ],
-                    );
-                }
+                let record = self.books.completed(req, &open, now, finished, &response);
+                self.push_record(record);
                 let source = if response.served_from_cache {
                     AnswerSource::Cache
                 } else {
                     AnswerSource::Fresh
                 };
-                self.push_record(RequestRecord {
-                    id,
-                    tool,
-                    target,
-                    arrived,
-                    started: Some(now),
-                    finished: Some(finished),
-                    outcome: RequestOutcome::Completed {
-                        cached: response.served_from_cache,
-                    },
-                });
-                self.persist_completion(id, target, finished, "completed", &response);
                 Ok(Answered {
                     response,
                     source,
-                    queue_wait_secs: now - arrived,
+                    queue_wait_secs: now - req.at,
                     service_secs: finished - now,
                 })
             }
             Err(err) => {
-                self.refuse(id, tool, target, arrived, RequestOutcome::Failed);
+                self.push_record(self.books.failed(req, now, self.clock.now_secs()));
                 Err(match err {
                     ServiceError::Unavailable { retry_in_secs, .. } => {
                         Rejection::BreakerOpen { retry_in_secs }
@@ -573,122 +532,25 @@ impl Dispatcher {
         result
     }
 
-    /// Appends one answered request to the history store, if persisting.
-    /// Timestamps land on the epoch clock (platform epoch + wall seconds
-    /// since gateway boot), mirroring the simulator's convention.
-    fn persist_completion(
-        &self,
-        id: u64,
-        target: AccountId,
-        finished: f64,
-        outcome_label: &str,
-        response: &ServiceResponse,
-    ) {
-        if let Some(writer) = &self.persist {
-            let record = audit_record(
-                target,
-                self.epoch_secs + finished,
-                outcome_label,
-                id,
-                response,
-            );
-            persist_record(writer, &self.telemetry, record);
-        }
+    /// Books a refusal at admission.
+    fn shed(&self, req: &Request) -> Result<Answered, Rejection> {
+        self.push_record(self.books.shed(req));
+        Err(Rejection::Shed)
     }
 
     fn push_record(&self, record: RequestRecord) {
-        let labels = [
-            ("tool", record.tool.abbrev()),
-            ("outcome", record.outcome.label()),
-        ];
-        self.telemetry.counter_add("server.requests", &labels, 1);
-        if record.answered() {
-            observe_request(&self.telemetry, record.tool.abbrev(), &record);
-        }
+        self.books.count(&record);
         lock(&self.records).push(record);
-    }
-
-    /// Records a refusal (shed at admission, expired in queue) with the
-    /// same trace points the simulator emits.
-    fn refuse(
-        &self,
-        id: u64,
-        tool: ToolId,
-        target: AccountId,
-        arrived: f64,
-        outcome: RequestOutcome,
-    ) {
-        let now = self.clock.now_secs();
-        let (name, finished) = match outcome {
-            RequestOutcome::Expired => (names::SERVER_EXPIRED, Some(now)),
-            RequestOutcome::Failed => (names::SERVER_FAILED, Some(now)),
-            _ => (names::SERVER_SHED, None),
-        };
-        if self.root.is_enabled() {
-            let target_s = target.to_string();
-            self.root.point(
-                name,
-                finished.unwrap_or(arrived),
-                &[("tool", tool.abbrev()), ("target", &target_s)],
-            );
-        }
-        self.push_record(RequestRecord {
-            id,
-            tool,
-            target,
-            arrived,
-            started: None,
-            finished,
-            outcome,
-        });
-    }
-
-    fn record_degraded(
-        &self,
-        id: u64,
-        tool: ToolId,
-        target: AccountId,
-        arrived: f64,
-        finished: f64,
-        response: &ServiceResponse,
-    ) {
-        if self.root.is_enabled() {
-            let target_s = target.to_string();
-            let req_ctx = self.root.child();
-            req_ctx.span(
-                names::SERVER_SERVICE,
-                arrived,
-                finished,
-                &[("tool", tool.abbrev()), ("source", "stale")],
-            );
-            req_ctx.record(
-                names::SERVER_REQUEST,
-                arrived,
-                finished,
-                &[
-                    ("tool", tool.abbrev()),
-                    ("target", &target_s),
-                    ("outcome", "degraded"),
-                ],
-            );
-        }
-        self.push_record(RequestRecord {
-            id,
-            tool,
-            target,
-            arrived,
-            started: Some(arrived),
-            finished: Some(finished),
-            outcome: RequestOutcome::Degraded,
-        });
-        self.persist_completion(id, target, finished, "degraded", response);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fakeaudit_analytics::quota::QuotaExceeded;
     use fakeaudit_detectors::{AuditOutcome, VerdictCounts};
+    use fakeaudit_server::RequestOutcome;
+    use fakeaudit_telemetry::analyze::names;
     use fakeaudit_telemetry::ManualClock;
     use fakeaudit_twittersim::SimTime;
     use std::sync::mpsc;
@@ -696,6 +558,8 @@ mod tests {
 
     const TA: ToolId = ToolId::Twitteraudit;
     const SB: ToolId = ToolId::Socialbakers;
+    /// The target whose audit every gated backend fails, once released.
+    const FAILS: AccountId = AccountId(13);
 
     /// Shared by a test and its gated backends: every `serve` logs its
     /// target and thread, then blocks until the test releases a permit.
@@ -784,6 +648,9 @@ mod tests {
                 .wait_while(st, |st| st.permits == 0)
                 .unwrap_or_else(PoisonError::into_inner);
             st.permits -= 1;
+            if target == FAILS {
+                return Err(ServiceError::Quota(QuotaExceeded { limit: 0, day: 0 }));
+            }
             Ok(response(self.tool, target, false))
         }
 
@@ -951,6 +818,71 @@ mod tests {
             assert_eq!(gate.order(), [1, 3]);
             let report = d.report();
             assert_eq!((report.completed(), report.expired()), (2, 1));
+        });
+    }
+
+    #[test]
+    fn a_failed_audit_is_booked_as_started_and_counts_its_queue_wait() {
+        bounded(|| {
+            let gate = Arc::new(Gate::default());
+            let (d, clock) = dispatcher(ServerConfig::default(), &[(TA, &gate)], &[]);
+            let d = &d;
+            thread::scope(|s| {
+                let first = s.spawn(move || d.submit(TA, AccountId(1), |_| {}));
+                gate.wait_entered(1);
+                let failing = s.spawn(move || d.submit(TA, FAILS, |_| {}));
+                wait_for_depth(d, 1);
+                clock.advance(1.5);
+                gate.release(2);
+                assert!(first.join().unwrap().is_ok());
+                let refused = failing.join().unwrap().unwrap_err();
+                assert!(matches!(refused, Rejection::Failed(_)), "{refused:?}");
+            });
+            let report = d.report();
+            let failed: Vec<_> = report
+                .records
+                .iter()
+                .filter(|r| r.outcome == RequestOutcome::Failed)
+                .collect();
+            assert_eq!(failed.len(), 1);
+            // As in the simulator: a backend took it at 1.5, so it was
+            // started, and its 1.5 s in the queue is a queue wait.
+            assert_eq!(
+                (failed[0].started, failed[0].finished),
+                (Some(1.5), Some(1.5))
+            );
+            assert_eq!(report.queue_wait_percentile(1.0), 1.5);
+        });
+    }
+
+    #[test]
+    fn a_tool_without_a_lane_is_booked_as_shed() {
+        bounded(|| {
+            let gate = Gate::open();
+            let (d, clock) = dispatcher(ServerConfig::default(), &[(TA, &gate)], &[]);
+            clock.set(3.0);
+            assert_eq!(
+                d.submit(SB, AccountId(8), |_| {}).unwrap_err(),
+                Rejection::Shed
+            );
+            let report = d.report();
+            assert_eq!(report.records.len(), 1);
+            let r = report.records[0];
+            assert_eq!(
+                (r.tool, r.outcome, r.arrived, r.started, r.finished),
+                (SB, RequestOutcome::Shed, 3.0, None, None)
+            );
+            let labels = [("tool", SB.abbrev()), ("outcome", "shed")];
+            let requests = d.telemetry.snapshot().counter("server.requests", &labels);
+            assert_eq!(requests, Some(1));
+            let sheds: Vec<_> = d
+                .telemetry
+                .events()
+                .into_iter()
+                .filter(|e| e.name == names::SERVER_SHED)
+                .collect();
+            assert_eq!(sheds.len(), 1);
+            assert_eq!((sheds[0].t0, sheds[0].attr("tool")), (3.0, Some("SB")));
         });
     }
 

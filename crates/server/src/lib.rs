@@ -20,7 +20,11 @@
 //!   target popularity, uniform tool choice — all from one seeded stream;
 //! * [`sim`] — the [`ServerSim`] event loop over per-tool worker pools,
 //!   producing a [`ServerReport`] of per-request records, percentiles and
-//!   `server.*` telemetry.
+//!   `server.*` telemetry;
+//! * [`books`] — what a finished request leaves behind (its spans or
+//!   refusal point, its record and its store row), written once for the
+//!   simulator and the gateway's dispatcher;
+//! * [`persist`] — the store-row half of the books.
 //!
 //! The simulation itself is single-threaded — determinism comes free.
 //! Parallelism belongs one level up, in
@@ -31,17 +35,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod books;
 pub mod event;
 pub mod persist;
 pub mod queue;
 pub mod sim;
 pub mod workload;
 
+pub use books::{Books, Open};
 pub use event::EventHeap;
-pub use persist::{audit_record, flush_writer, persist_record, writer_health, writer_view};
+pub use persist::{flush_writer, writer_health, writer_view};
 pub use queue::{Admission, AdmissionQueue, OverloadPolicy};
 pub use sim::{
-    observe_request, AuditBackend, RequestOutcome, RequestRecord, ServerConfig, ServerReport,
-    ServerSim, ToolSummary,
+    AuditBackend, RequestOutcome, RequestRecord, ServerConfig, ServerReport, ServerSim, ToolSummary,
 };
 pub use workload::{generate, ArrivalProcess, LoadSpec, Request};

@@ -2,10 +2,10 @@
 //!
 //! Both serving worlds — the discrete-event [`ServerSim`](crate::ServerSim)
 //! and the wall-clock gateway dispatcher — end a successful request
-//! holding a [`ServiceResponse`] and a completion time. This module
-//! turns that pair into one [`AuditRecord`] append and emits the
-//! `store.*` metrics at the call site, keeping `fakeaudit-store` itself
-//! telemetry-free.
+//! holding a [`ServiceResponse`] and a completion time, and both hand
+//! that pair to [`Books`](crate::Books). This module turns it into one
+//! [`AuditRecord`] append and emits the `store.*` metrics at the call
+//! site, keeping `fakeaudit-store` itself telemetry-free.
 //!
 //! Append failures are counted (`store.append_errors`), not propagated:
 //! history is an observability surface, and losing a row must never fail
@@ -35,9 +35,9 @@ use fakeaudit_twittersim::AccountId;
 
 /// Builds the store row for one answered request.
 ///
-/// `finished_epoch_secs` is the completion time on the epoch clock —
-/// callers on the sim clock add the platform epoch to their run-relative
-/// time; the gateway passes wall seconds directly.
+/// `finished_epoch_secs` is the completion time on the epoch clock: the
+/// platform epoch plus the server clock's seconds, which count from the
+/// start of the run in the simulator and from boot in the gateway.
 pub fn audit_record(
     target: AccountId,
     finished_epoch_secs: f64,

@@ -18,14 +18,13 @@
 //! across OS threads in `core::experiments::service_load`, each with its
 //! own cloned backends.
 
+use crate::books::Books;
 use crate::event::EventHeap;
-use crate::persist::{audit_record, persist_record};
 use crate::queue::{Admission, AdmissionQueue, OverloadPolicy};
 use crate::workload::Request;
 use fakeaudit_analytics::{OnlineService, ServiceError, ServiceResponse};
 use fakeaudit_detectors::{FollowerAuditor, ToolId};
 use fakeaudit_store::SharedWriter;
-use fakeaudit_telemetry::analyze::names;
 use fakeaudit_telemetry::{SloMonitor, SpanId, Telemetry, TraceContext};
 use fakeaudit_twittersim::{AccountId, Platform};
 use std::sync::OnceLock;
@@ -426,7 +425,8 @@ impl ServerReport {
         percentile(self.sorted_latencies(), q)
     }
 
-    /// Exact nearest-rank percentile of queue wait over answered requests.
+    /// Exact nearest-rank percentile of queue wait over every request a
+    /// worker (or the degrade path) picked up, answered or failed.
     pub fn queue_wait_percentile(&self, q: f64) -> f64 {
         percentile(self.sorted_queue_waits(), q)
     }
@@ -440,75 +440,9 @@ impl ServerReport {
         let span = self.makespan * (self.config.workers_per_tool * self.per_tool.len()) as f64;
         (busy / span).min(1.0)
     }
-
-    /// Mirrors a finished run into `telemetry` after the fact: a flat
-    /// `server.request` span per *answered* request, a `server.shed` /
-    /// `server.failed` point per refused or errored one (so every offered
-    /// request appears in the trace exactly once), the
-    /// `server.queue_wait_secs` / `server.service_secs` /
-    /// `server.latency_secs` histograms, and per-tool outcome counters.
-    ///
-    /// Spans recorded here carry no identity — for causal trees built
-    /// live along the request path, construct the simulator with
-    /// [`ServerSim::with_telemetry`] instead.
-    pub fn record_into(&self, telemetry: &Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        for r in &self.records {
-            let tool = r.tool.abbrev();
-            let target = r.target.to_string();
-            let labels = [("tool", tool), ("outcome", r.outcome.label())];
-            match r.outcome {
-                RequestOutcome::Completed { .. } | RequestOutcome::Degraded => {
-                    if let (Some(start), Some(end)) = (r.started, r.finished) {
-                        telemetry.span(names::SERVER_REQUEST, start, end, &labels);
-                        observe_request(telemetry, tool, r);
-                    }
-                }
-                RequestOutcome::Shed => {
-                    telemetry.event(
-                        names::SERVER_SHED,
-                        r.arrived,
-                        &[("tool", tool), ("target", &target)],
-                    );
-                }
-                RequestOutcome::Expired => {
-                    telemetry.event(
-                        names::SERVER_EXPIRED,
-                        r.finished.unwrap_or(r.arrived),
-                        &[("tool", tool), ("target", &target)],
-                    );
-                }
-                RequestOutcome::Failed => {
-                    telemetry.event(
-                        names::SERVER_FAILED,
-                        r.finished.unwrap_or(r.arrived),
-                        &[("tool", tool), ("target", &target)],
-                    );
-                }
-            }
-            telemetry.counter_add("server.requests", &labels, 1);
-        }
-        record_tool_totals(telemetry, &self.per_tool);
-    }
 }
 
-/// Per-request latency histograms (`server.queue_wait_secs`,
-/// `server.service_secs`, `server.latency_secs`) shared by the live
-/// simulator path, the post-hoc [`ServerReport::record_into`] path, and
-/// the wall-clock gateway — one metric vocabulary for both worlds.
-pub fn observe_request(telemetry: &Telemetry, tool: &str, r: &RequestRecord) {
-    let tool_only = [("tool", tool)];
-    telemetry.observe("server.queue_wait_secs", &tool_only, r.queue_wait());
-    telemetry.observe("server.service_secs", &tool_only, r.service_secs());
-    if let Some(latency) = r.latency() {
-        telemetry.observe("server.latency_secs", &tool_only, latency);
-    }
-}
-
-/// Per-tool end-of-run counters and gauges, shared by the live and
-/// post-hoc paths.
+/// Per-tool end-of-run counters and gauges.
 fn record_tool_totals(telemetry: &Telemetry, per_tool: &[ToolSummary]) {
     for t in per_tool {
         let Some(tool) = t.tool else { continue };
@@ -563,8 +497,7 @@ pub struct ServerSim<'p> {
     records: Vec<RequestRecord>,
     makespan: f64,
     telemetry: Telemetry,
-    root: TraceContext,
-    persist: Option<SharedWriter>,
+    books: Books,
     monitor: Option<SloMonitor>,
 }
 
@@ -579,15 +512,16 @@ impl<'p> ServerSim<'p> {
     /// and `server.service` children, the backend's own subtree (API
     /// crawl, cache lookup, detector pass) hangs under `server.service`,
     /// and refused or errored requests become `server.shed` /
-    /// `server.failed` points. Metrics match what
-    /// [`ServerReport::record_into`] would have produced; do not call
-    /// both, or everything doubles.
+    /// `server.expired` / `server.failed` points (see [`Books`]). At the
+    /// end of the run every record is counted into `server.requests` and
+    /// the `server.*_secs` histograms, and each tool's totals into the
+    /// per-tool `server.*` counters and gauges.
     pub fn with_telemetry(
         platform: &'p Platform,
         config: ServerConfig,
         telemetry: Telemetry,
     ) -> Self {
-        let root = telemetry.root_context();
+        let books = Books::new(&telemetry, platform, None);
         Self {
             platform,
             config,
@@ -595,8 +529,7 @@ impl<'p> ServerSim<'p> {
             records: Vec::new(),
             makespan: 0.0,
             telemetry,
-            root,
-            persist: None,
+            books,
             monitor: None,
         }
     }
@@ -619,23 +552,8 @@ impl<'p> ServerSim<'p> {
     /// flushing the tail buffer is the caller's job — it owns the writer
     /// lifecycle and may share it across several runs.
     pub fn persist_into(&mut self, writer: SharedWriter) -> &mut Self {
-        self.persist = Some(writer);
+        self.books.persist = Some(writer);
         self
-    }
-
-    /// Appends one answered request to the history store, if persisting.
-    fn persist_completion(
-        &self,
-        req: &Request,
-        finished: f64,
-        outcome_label: &str,
-        resp: &ServiceResponse,
-    ) {
-        if let Some(writer) = &self.persist {
-            let epoch = self.platform.now().as_secs() as f64;
-            let record = audit_record(req.target, epoch + finished, outcome_label, req.id, resp);
-            persist_record(writer, &self.telemetry, record);
-        }
     }
 
     /// Registers a backend; requests for its tool route to its pool.
@@ -723,12 +641,7 @@ impl<'p> ServerSim<'p> {
         };
         if self.telemetry.is_enabled() {
             for r in &report.records {
-                let tool = r.tool.abbrev();
-                if r.answered() {
-                    observe_request(&self.telemetry, tool, r);
-                }
-                let labels = [("tool", tool), ("outcome", r.outcome.label())];
-                self.telemetry.counter_add("server.requests", &labels, 1);
+                self.books.count(r);
             }
             record_tool_totals(&self.telemetry, &report.per_tool);
         }
@@ -737,17 +650,7 @@ impl<'p> ServerSim<'p> {
 
     fn on_arrival(&mut self, now: f64, req: Request, heap: &mut EventHeap<Event>) {
         let Some(idx) = self.server_for(req.tool) else {
-            self.trace_refusal(names::SERVER_SHED, now, &req);
-            self.records.push(RequestRecord {
-                id: req.id,
-                tool: req.tool,
-                target: req.target,
-                arrived: now,
-                started: None,
-                finished: None,
-                outcome: RequestOutcome::Shed,
-            });
-            self.observe_monitor(req.tool, now, None, false, None);
+            self.keep(self.books.shed(&req), None);
             return;
         };
         self.servers[idx].summary.offered += 1;
@@ -762,31 +665,19 @@ impl<'p> ServerSim<'p> {
         }
     }
 
-    /// Feeds one finished request to the attached monitor, if any.
-    /// Routes are keyed by tool abbreviation, matching the metric
-    /// labels; `ok` is the client-visible verdict (shed, failed and
-    /// expired are not ok) and `root` the request's trace-tree root for
-    /// the tail sampler.
-    fn observe_monitor(
-        &self,
-        tool: ToolId,
-        end_secs: f64,
-        latency_secs: Option<f64>,
-        ok: bool,
-        root: Option<SpanId>,
-    ) {
+    /// Keeps a finished request's record and feeds it to the attached
+    /// monitor, if any. Routes are keyed by tool abbreviation, matching
+    /// the metric labels; `ok` is the client-visible verdict (shed,
+    /// failed and expired are not ok); a request has a latency once a
+    /// worker or the degrade path picked it up; `root` is the request's
+    /// trace-tree root for the tail sampler.
+    fn keep(&mut self, record: RequestRecord, root: Option<SpanId>) {
         if let Some(monitor) = &self.monitor {
-            monitor.observe_request(tool.abbrev(), end_secs, latency_secs, ok, root);
+            let end = record.finished.unwrap_or(record.arrived);
+            let latency = record.started.and(record.latency());
+            monitor.observe_request(record.tool.abbrev(), end, latency, record.answered(), root);
         }
-    }
-
-    /// Records a `server.shed` / `server.failed` point at the trace root.
-    fn trace_refusal(&self, name: &str, t: f64, req: &Request) {
-        if self.root.is_enabled() {
-            let target = req.target.to_string();
-            self.root
-                .point(name, t, &[("tool", req.tool.abbrev()), ("target", &target)]);
-        }
+        self.records.push(record);
     }
 
     /// Full queue, non-parking policy: degrade if possible, shed otherwise.
@@ -797,75 +688,28 @@ impl<'p> ServerSim<'p> {
                 let finished = now + self.config.degraded_secs;
                 self.makespan = self.makespan.max(finished);
                 server.summary.degraded += 1;
-                let mut root_id = None;
-                if self.root.is_enabled() {
-                    let tool = req.tool.abbrev();
-                    let target = req.target.to_string();
-                    let req_ctx = self.root.child();
-                    root_id = req_ctx.span_id();
-                    req_ctx.span(
-                        names::SERVER_SERVICE,
-                        now,
-                        finished,
-                        &[("tool", tool), ("source", "stale")],
-                    );
-                    req_ctx.record(
-                        names::SERVER_REQUEST,
-                        req.at,
-                        finished,
-                        &[("tool", tool), ("target", &target), ("outcome", "degraded")],
-                    );
-                }
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: Some(now),
-                    finished: Some(finished),
-                    outcome: RequestOutcome::Degraded,
-                });
-                self.persist_completion(&req, finished, "degraded", &resp);
-                self.observe_monitor(req.tool, finished, Some(finished - req.at), true, root_id);
+                let open = self.books.open(now);
+                let record = self.books.degraded(&req, &open, now, finished, &resp);
+                self.keep(record, open.span_id());
                 return;
             }
         }
         server.summary.shed += 1;
-        self.trace_refusal(names::SERVER_SHED, now, &req);
-        self.records.push(RequestRecord {
-            id: req.id,
-            tool: req.tool,
-            target: req.target,
-            arrived: req.at,
-            started: None,
-            finished: None,
-            outcome: RequestOutcome::Shed,
-        });
-        self.observe_monitor(req.tool, now, None, false, None);
+        self.keep(self.books.shed(&req), None);
     }
 
     /// Occupies one worker with `req`. Failures are instantaneous, so the
     /// worker stays idle and the caller's drain loop keeps pulling.
     ///
-    /// When tracing, the span tree for a worker-served request is built
-    /// here: `req_ctx` becomes the `server.request` span, `svc_ctx` the
-    /// `server.service` span the backend nests its own subtree under.
-    /// Both are recorded only once the outcome is known, so a failed
-    /// request leaves a `server.failed` point and no half-open spans.
+    /// The request's spans are opened before the backend serves and
+    /// recorded only once the outcome is known, so a failed request
+    /// leaves a `server.failed` point and no half-open spans.
     fn start_service(&mut self, now: f64, idx: usize, req: Request, heap: &mut EventHeap<Event>) {
-        let req_ctx = self.root.child();
-        let svc_ctx = req_ctx.child();
-        // Backends stamp their spans on the platform's epoch clock while
-        // the server runs from 0, so the context handed down is rebased
-        // onto the server clock: the backend subtree then nests exactly
-        // inside the `server.service` interval recorded below.
-        let backend_ctx = svc_ctx
-            .clone()
-            .rebased(now - self.platform.now().as_secs() as f64);
+        let open = self.books.open(now);
         let server = &mut self.servers[idx];
         match server
             .backend
-            .serve_traced_at(self.platform, req.target, &backend_ctx, now)
+            .serve_traced_at(self.platform, req.target, open.backend(), now)
         {
             Ok(resp) => {
                 server.idle_workers -= 1;
@@ -875,70 +719,17 @@ impl<'p> ServerSim<'p> {
                 if resp.served_from_cache {
                     server.summary.cache_hits += 1;
                 }
-                if req_ctx.is_enabled() {
-                    let tool = req.tool.abbrev();
-                    let target = req.target.to_string();
-                    req_ctx.span(names::SERVER_QUEUE_WAIT, req.at, now, &[("tool", tool)]);
-                    let source = if resp.served_from_cache {
-                        "cache"
-                    } else {
-                        "fresh"
-                    };
-                    svc_ctx.record(
-                        names::SERVER_SERVICE,
-                        now,
-                        finished,
-                        &[("tool", tool), ("source", source)],
-                    );
-                    req_ctx.record(
-                        names::SERVER_REQUEST,
-                        req.at,
-                        finished,
-                        &[
-                            ("tool", tool),
-                            ("target", &target),
-                            ("outcome", "completed"),
-                        ],
-                    );
-                }
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: Some(now),
-                    finished: Some(finished),
-                    outcome: RequestOutcome::Completed {
-                        cached: resp.served_from_cache,
-                    },
-                });
-                self.persist_completion(&req, finished, "completed", &resp);
-                self.observe_monitor(
-                    req.tool,
-                    finished,
-                    Some(finished - req.at),
-                    true,
-                    req_ctx.span_id(),
-                );
+                let record = self.books.completed(&req, &open, now, finished, &resp);
+                self.keep(record, open.span_id());
                 heap.push(finished, Event::WorkerDone { server: idx });
             }
             Err(_) => {
                 server.summary.failed += 1;
-                self.trace_refusal(names::SERVER_FAILED, now, &req);
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: Some(now),
-                    finished: Some(now),
-                    outcome: RequestOutcome::Failed,
-                });
                 // The request and service span ids were allocated before
                 // the backend ran, so any API-fault evidence the backend
                 // traced hangs under them: hand the monitor that tree as
                 // the failure exemplar.
-                self.observe_monitor(req.tool, now, Some(now - req.at), false, req_ctx.span_id());
+                self.keep(self.books.failed(&req, now, now), open.span_id());
             }
         }
     }
@@ -954,17 +745,7 @@ impl<'p> ServerSim<'p> {
             };
             if self.config.deadline_secs.is_some_and(|d| now - req.at > d) {
                 self.servers[idx].summary.expired += 1;
-                self.trace_refusal(names::SERVER_EXPIRED, now, &req);
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: None,
-                    finished: Some(now),
-                    outcome: RequestOutcome::Expired,
-                });
-                self.observe_monitor(req.tool, now, None, false, None);
+                self.keep(self.books.expired(&req, now), None);
                 continue;
             }
             self.start_service(now, idx, req, heap);
@@ -976,6 +757,7 @@ impl<'p> ServerSim<'p> {
 mod tests {
     use super::*;
     use fakeaudit_detectors::{AuditOutcome, VerdictCounts};
+    use fakeaudit_telemetry::analyze::names;
     use fakeaudit_telemetry::TraceEvent;
     use fakeaudit_twittersim::SimTime;
 
@@ -1402,7 +1184,7 @@ mod tests {
         }
         waits.sort_by(f64::total_cmp);
         assert_eq!(waits, vec![0.0, 10.0], "second request queued 10 s");
-        // Live metrics mirror the post-hoc record_into path.
+        // The run counts its records into the metrics at the end.
         let snap = tel.snapshot();
         let labels = [("tool", ToolId::FakeClassifier.abbrev())];
         assert_eq!(snap.counter("server.completed", &labels), Some(2));
@@ -1443,6 +1225,32 @@ mod tests {
             .filter(|e| e.name == names::SERVER_REQUEST)
             .count();
         assert_eq!(spans as u64 + sheds.len() as u64, report.offered());
+    }
+
+    /// A failed request leaves a `server.failed` point, no request span and
+    /// no latency observation, only its outcome count.
+    #[test]
+    fn record_into_skips_spans_for_unanswered_requests() {
+        let platform = Platform::new();
+        let tel = Telemetry::enabled();
+        let mut s = ServerSim::with_telemetry(&platform, ServerConfig::default(), tel.clone());
+        s.register(Box::new(FailingBackend));
+        assert_eq!(
+            s.run(&[request(0, 0.0, ToolId::FakeClassifier)]).failed(),
+            1
+        );
+        let events = tel.events();
+        assert!(!events.iter().any(|e| e.name == names::SERVER_REQUEST));
+        let failed = events
+            .iter()
+            .filter(|e| e.name == names::SERVER_FAILED)
+            .count();
+        assert_eq!(failed, 1);
+        let snap = tel.snapshot();
+        let labels = [("tool", ToolId::FakeClassifier.abbrev())];
+        assert!(snap.histogram("server.latency_secs", &labels).is_none());
+        let failed_label = [("tool", labels[0].1), ("outcome", "failed")];
+        assert_eq!(snap.counter("server.requests", &failed_label), Some(1));
     }
 
     #[test]
@@ -1514,32 +1322,6 @@ mod tests {
         assert_eq!(kids[0].name, names::SERVER_SERVICE);
         assert_eq!(kids[0].attr("source"), Some("stale"));
         assert_eq!(kids[0].duration_secs(), 0.5);
-    }
-
-    #[test]
-    fn record_into_skips_spans_for_unanswered_requests() {
-        let platform = Platform::new();
-        let mut s = ServerSim::new(&platform, ServerConfig::default());
-        s.register(Box::new(FailingBackend));
-        let report = s.run(&[request(0, 0.0, ToolId::FakeClassifier)]);
-        assert_eq!(report.failed(), 1);
-
-        let tel = Telemetry::enabled();
-        report.record_into(&tel);
-        let events = tel.events();
-        assert!(!events.iter().any(|e| e.name == names::SERVER_REQUEST));
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == names::SERVER_FAILED)
-                .count(),
-            1
-        );
-        let labels = [("tool", ToolId::FakeClassifier.abbrev())];
-        assert!(tel
-            .snapshot()
-            .histogram("server.latency_secs", &labels)
-            .is_none());
     }
 
     #[test]
@@ -1622,15 +1404,16 @@ mod tests {
         let trace: Vec<Request> = (0..5)
             .map(|i| request(i, 0.0, ToolId::FakeClassifier))
             .collect();
-        let report = sim(&platform, config).run(&trace);
+        let tel = Telemetry::enabled();
+        let mut s = ServerSim::with_telemetry(&platform, config, tel.clone());
+        s.register(Box::new(FakeBackend::new(ToolId::FakeClassifier, 10.0)));
+        let report = s.run(&trace);
         // Queue waits 0, 10, 20, 30, 40. Repeated calls hit the cached
         // sorted vector and stay self-consistent.
         assert_eq!(report.queue_wait_percentile(0.5), 20.0);
         assert_eq!(report.queue_wait_percentile(0.5), 20.0);
-        // The exact path and the histogram path agree at the clamped
+        // The exact path and the run's histogram agree at the clamped
         // extremes, where bucketing cannot move the estimate.
-        let tel = Telemetry::enabled();
-        report.record_into(&tel);
         let snap = tel.snapshot();
         let labels = [("tool", ToolId::FakeClassifier.abbrev())];
         let hist = snap.histogram("server.queue_wait_secs", &labels).unwrap();

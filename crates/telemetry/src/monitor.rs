@@ -549,10 +549,14 @@ pub struct SloMonitor {
 
 impl SloMonitor {
     /// A monitor over `telemetry`, which also installs tail-sampling
-    /// retention on its trace buffer.
+    /// retention on its trace buffer. The `monitor.alerts_firing` and
+    /// `monitor.alerts_pending` gauges read 0 from here on, so a scrape
+    /// before the first [`SloMonitor::tick`] still finds them.
     #[must_use]
     pub fn new(config: MonitorConfig, telemetry: Telemetry) -> Self {
         telemetry.enable_tail_retention(config.parked_capacity);
+        telemetry.gauge_set("monitor.alerts_firing", &[], 0.0);
+        telemetry.gauge_set("monitor.alerts_pending", &[], 0.0);
         let next_history_at = config.history_interval_secs;
         let seed = config.seed;
         Self {
@@ -994,6 +998,15 @@ mod tests {
             parked_capacity: 64,
             seed,
         }
+    }
+
+    #[test]
+    fn a_new_monitor_exposes_both_alert_gauges_at_zero() {
+        let tel = Telemetry::enabled();
+        let _monitor = SloMonitor::new(tight_config(1), tel.clone());
+        let snap = tel.snapshot();
+        assert_eq!(snap.gauge("monitor.alerts_firing", &[]), Some(0.0));
+        assert_eq!(snap.gauge("monitor.alerts_pending", &[]), Some(0.0));
     }
 
     /// Drives a failure burst then recovery; returns the monitor.
