@@ -305,3 +305,68 @@ fn main() {
         w.rows_pruned, w.segments_pruned
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_json_layout_is_pinned() {
+        let measured = [
+            Measured {
+                name: "topk",
+                iters: 4,
+                wall_secs: 0.012,
+                latencies_ms: vec![1.5, 2.25, 3.0, 4.125],
+                rows_scanned: 900,
+                rows_pruned: 0,
+                segments_pruned: 0,
+                result_rows: 10,
+            },
+            Measured {
+                name: "timeseries_windowed",
+                iters: 3,
+                wall_secs: 0.0,
+                latencies_ms: vec![0.1, 0.2, 1.0 / 3.0],
+                rows_scanned: 100,
+                rows_pruned: 200,
+                segments_pruned: 2,
+                result_rows: 7,
+            },
+        ];
+        assert_eq!(
+            render_json(9401, 1234, 13, 20, &measured),
+            r#"{
+  "schema_version": 1,
+  "bench": "store",
+  "config": {
+    "seed": 9401,
+    "rows": 1234,
+    "segments": 13,
+    "iters": 20
+  },
+  "scenarios": [
+    {"name": "topk", "mode": "query", "offered": 4, "answered": 4, "shed": 0, "expired": 0, "errors": 0, "wall_secs": 0.012, "requests_per_sec": 333.33, "p50_ms": 3.000, "p95_ms": 4.125, "p99_ms": 4.125, "shed_rate": 1.0000, "rows_scanned": 900, "rows_pruned": 0, "segments_pruned": 0, "result_rows": 10},
+    {"name": "timeseries_windowed", "mode": "query", "offered": 3, "answered": 3, "shed": 0, "expired": 0, "errors": 0, "wall_secs": 0.000, "requests_per_sec": 0.00, "p50_ms": 0.200, "p95_ms": 0.333, "p99_ms": 0.333, "shed_rate": 0.3333, "rows_scanned": 100, "rows_pruned": 200, "segments_pruned": 2, "result_rows": 7}
+  ]
+}
+"#
+        );
+        assert_eq!(
+            render_json(1, 0, 0, 0, &[]),
+            r#"{
+  "schema_version": 1,
+  "bench": "store",
+  "config": {
+    "seed": 1,
+    "rows": 0,
+    "segments": 0,
+    "iters": 0
+  },
+  "scenarios": [
+  ]
+}
+"#
+        );
+    }
+}

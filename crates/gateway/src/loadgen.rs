@@ -423,4 +423,53 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
+
+    #[test]
+    fn bench_json_layout_is_pinned() {
+        let closed = summary_with(&[(0.0125, 200), (0.25, 200), (0.0, 503), (0.0, 504)], 1);
+        let mut open = summary_with(&[(1.0 / 3.0, 200)], 0);
+        open.name = "poisson_open".to_owned();
+        open.mode = "open";
+        open.wall_secs = 0.75;
+        let json = render_bench_json(
+            &[
+                ("seed", "7".to_owned()),
+                ("policy", "\"shed\"".to_owned()),
+                ("allocs_per_req", "24.5".to_owned()),
+            ],
+            2,
+            &[closed, open],
+        );
+        assert_eq!(
+            json,
+            r#"{
+  "schema_version": 1,
+  "bench": "gateway",
+  "config": {
+    "seed": 7,
+    "policy": "shed",
+    "allocs_per_req": 24.5
+  },
+  "breaker_trips": 2,
+  "scenarios": [
+    {"name": "t", "mode": "closed", "offered": 5, "answered": 2, "shed": 1, "expired": 1, "errors": 1, "wall_secs": 2.000, "requests_per_sec": 1.00, "p50_ms": 12.500, "p95_ms": 250.000, "p99_ms": 250.000, "shed_rate": 0.2000},
+    {"name": "poisson_open", "mode": "open", "offered": 1, "answered": 1, "shed": 0, "expired": 0, "errors": 0, "wall_secs": 0.750, "requests_per_sec": 1.33, "p50_ms": 333.333, "p95_ms": 333.333, "p99_ms": 333.333, "shed_rate": 0.0000}
+  ]
+}
+"#
+        );
+        assert_eq!(
+            render_bench_json(&[], 0, &[]),
+            r#"{
+  "schema_version": 1,
+  "bench": "gateway",
+  "config": {
+  },
+  "breaker_trips": 0,
+  "scenarios": [
+  ]
+}
+"#
+        );
+    }
 }
