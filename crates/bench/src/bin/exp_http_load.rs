@@ -45,6 +45,7 @@ use fakeaudit_gateway::{
 use fakeaudit_server::workload::{generate, ArrivalProcess, LoadSpec, Request};
 use fakeaudit_server::{OverloadPolicy, ServerConfig, ServerReport};
 use fakeaudit_stats::rng::derive_seed;
+use fakeaudit_telemetry::json::Quoted;
 use fakeaudit_telemetry::{AllocScope, MonitorConfig, SelfTimeProfile, Telemetry, WallClock};
 use std::sync::Arc;
 
@@ -347,7 +348,7 @@ fn main() {
         ("queue_capacity", QUEUE_CAPACITY.to_string()),
         ("accept_threads", SENDERS.to_string()),
         ("open_loop_senders", SENDERS.to_string()),
-        ("policy", "\"shed\"".to_owned()),
+        ("policy", Quoted("shed").to_string()),
         ("open_loop_secs", format!("{:.1}", opts.secs)),
         ("slo", opts.slo.to_string()),
     ];

@@ -26,8 +26,8 @@ use fakeaudit_core::experiments::service_load::run_service_load_persisted;
 use fakeaudit_server::flush_writer;
 use fakeaudit_store::queries::{self, QueryKind, QueryOptions};
 use fakeaudit_store::{open_shared, Store};
+use fakeaudit_telemetry::json::{bench_json, bench_rows, Quoted};
 use fakeaudit_telemetry::Telemetry;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct QueryLoadOptions {
@@ -143,43 +143,38 @@ fn measure(store: &Store, scenario: &Scenario, iters: usize) -> Measured {
 }
 
 fn render_json(seed: u64, rows: u64, segments: u64, iters: usize, measured: &[Measured]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"store\",");
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\n    \"seed\": {seed},\n    \"rows\": {rows},\n    \
-         \"segments\": {segments},\n    \"iters\": {iters}\n  }},"
-    );
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, m) in measured.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"mode\": \"query\", \"offered\": {}, \"answered\": {}, \
-             \"shed\": 0, \"expired\": 0, \"errors\": 0, \"wall_secs\": {:.3}, \
-             \"requests_per_sec\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"shed_rate\": {:.4}, \"rows_scanned\": {}, \
-             \"rows_pruned\": {}, \"segments_pruned\": {}, \"result_rows\": {}}}",
-            m.name,
-            m.iters,
-            m.iters,
-            m.wall_secs,
-            m.queries_per_sec(),
-            m.percentile(0.50),
-            m.percentile(0.95),
-            m.percentile(0.99),
-            m.scanned_fraction(),
-            m.rows_scanned,
-            m.rows_pruned,
-            m.segments_pruned,
-            m.result_rows,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < measured.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let config = [
+        ("seed", seed.to_string()),
+        ("rows", rows.to_string()),
+        ("segments", segments.to_string()),
+        ("iters", iters.to_string()),
+    ];
+    let scenarios: Vec<String> = measured
+        .iter()
+        .map(|m| {
+            format!(
+                "{{\"name\": {}, \"mode\": \"query\", \"offered\": {}, \"answered\": {}, \
+                 \"shed\": 0, \"expired\": 0, \"errors\": 0, \"wall_secs\": {:.3}, \
+                 \"requests_per_sec\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
+                 \"p99_ms\": {:.3}, \"shed_rate\": {:.4}, \"rows_scanned\": {}, \
+                 \"rows_pruned\": {}, \"segments_pruned\": {}, \"result_rows\": {}}}",
+                Quoted(m.name),
+                m.iters,
+                m.iters,
+                m.wall_secs,
+                m.queries_per_sec(),
+                m.percentile(0.50),
+                m.percentile(0.95),
+                m.percentile(0.99),
+                m.scanned_fraction(),
+                m.rows_scanned,
+                m.rows_pruned,
+                m.segments_pruned,
+                m.result_rows,
+            )
+        })
+        .collect();
+    bench_json("store", &config, &[("scenarios", bench_rows(&scenarios))])
 }
 
 fn main() {

@@ -418,31 +418,6 @@ fn fsync_from_args(args: &ParsedArgs) -> Result<FsyncPolicy, String> {
     }
 }
 
-/// Builds [`QueryOptions`] from `--since/--until/--bucket/--k/--by`.
-fn query_options_from_args(args: &ParsedArgs) -> Result<QueryOptions, String> {
-    let mut opts = QueryOptions::default();
-    if args.raw("since").is_some() {
-        opts.since_secs = Some(args.get_or("since", 0i64).map_err(|e| e.to_string())?);
-    }
-    if args.raw("until").is_some() {
-        opts.until_secs = Some(args.get_or("until", 0i64).map_err(|e| e.to_string())?);
-    }
-    opts.bucket_secs = args
-        .get_or("bucket", opts.bucket_secs)
-        .map_err(|e| e.to_string())?;
-    if opts.bucket_secs <= 0 {
-        return Err("--bucket must be positive".into());
-    }
-    opts.k = args.get_or("k", opts.k).map_err(|e| e.to_string())?;
-    if opts.k == 0 {
-        return Err("--k must be positive".into());
-    }
-    if let Some(by) = args.raw("by") {
-        opts.by = by.parse()?;
-    }
-    Ok(opts)
-}
-
 fn cmd_query(args: &ParsedArgs) -> Result<(), String> {
     args.check("", "dir format since until bucket k by")
         .map_err(|e| e.to_string())?;
@@ -452,7 +427,7 @@ fn cmd_query(args: &ParsedArgs) -> Result<(), String> {
         .ok_or("query needs a kind: timeseries, drift, retention or topk")?
         .parse()?;
     let dir = args.raw("dir").unwrap_or("history");
-    let opts = query_options_from_args(args)?;
+    let opts = QueryOptions::from_params(|key| args.raw(key))?;
     let format = args.raw("format").unwrap_or("table");
     if format != "table" && format != "json" {
         return Err(format!("--format must be table or json, got {format:?}"));

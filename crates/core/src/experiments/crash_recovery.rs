@@ -33,6 +33,7 @@ use fakeaudit_store::{
     verify_with, AuditRecord, CrashMode, FaultScript, FsyncPolicy, MemIo, Projection, ScanOptions,
     Store, StoreIo, StoreWriter,
 };
+use fakeaudit_telemetry::json::{bench_json, bench_rows, Quoted};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -450,44 +451,39 @@ pub fn check(r: &CrashRecoveryResult) -> Result<(), String> {
 
 /// Renders the sweep as `results/BENCH_recovery.json`.
 pub fn render_json(seed: u64, r: &CrashRecoveryResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"recovery\",");
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\n    \"seed\": {seed},\n    \"crash_points\": {},\n    \
-         \"rows_per_run\": {},\n    \"flush_threshold\": {}\n  }},",
-        r.crash_points, r.rows_per_run, r.flush_threshold,
-    );
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, c) in r.cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"fsync\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \"op_space\": {}, \
-             \"rows_acked\": {}, \"rows_flush_acked\": {}, \"rows_recovered\": {}, \
-             \"acked_rows_lost\": {}, \"max_acked_lost\": {}, \"flushed_rows_lost\": {}, \
-             \"wal_rows_recovered\": {}, \"quarantined_segments\": {}}}",
-            c.fsync,
-            c.mode,
-            c.runs,
-            c.op_space,
-            c.rows_acked,
-            c.rows_flush_acked,
-            c.rows_recovered,
-            c.acked_rows_lost,
-            c.max_acked_lost,
-            c.flushed_rows_lost,
-            c.wal_rows_recovered,
-            c.quarantined_segments,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < r.cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
+    let config = [
+        ("seed", seed.to_string()),
+        ("crash_points", r.crash_points.to_string()),
+        ("rows_per_run", r.rows_per_run.to_string()),
+        ("flush_threshold", r.flush_threshold.to_string()),
+    ];
+    let rows: Vec<String> = r
+        .cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"fsync\": {}, \"mode\": {}, \"runs\": {}, \"op_space\": {}, \
+                 \"rows_acked\": {}, \"rows_flush_acked\": {}, \"rows_recovered\": {}, \
+                 \"acked_rows_lost\": {}, \"max_acked_lost\": {}, \"flushed_rows_lost\": {}, \
+                 \"wal_rows_recovered\": {}, \"quarantined_segments\": {}}}",
+                Quoted(&c.fsync),
+                Quoted(&c.mode),
+                c.runs,
+                c.op_space,
+                c.rows_acked,
+                c.rows_flush_acked,
+                c.rows_recovered,
+                c.acked_rows_lost,
+                c.max_acked_lost,
+                c.flushed_rows_lost,
+                c.wal_rows_recovered,
+                c.quarantined_segments,
+            )
+        })
+        .collect();
     let cr = &r.corruption;
-    let _ = writeln!(
-        out,
-        "  \"corruption\": {{\"flips\": {}, \"rows_per_store\": {}, \"verify_flagged\": {}, \
+    let corruption = format!(
+        "{{\"flips\": {}, \"rows_per_store\": {}, \"verify_flagged\": {}, \
          \"opens_failed\": {}, \"quarantined_segments\": {}, \"rows_served\": {}, \
          \"rows_expected\": {}}}",
         cr.flips,
@@ -498,8 +494,11 @@ pub fn render_json(seed: u64, r: &CrashRecoveryResult) -> String {
         cr.rows_served,
         cr.rows_expected,
     );
-    let _ = writeln!(out, "}}");
-    out
+    bench_json(
+        "recovery",
+        &config,
+        &[("scenarios", bench_rows(&rows)), ("corruption", corruption)],
+    )
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 //! config replays the same stream — same seed ⇒ byte-identical tables.
 
 use fakeaudit_stats::rng::derive_seed;
+use fakeaudit_telemetry::json::{bench_json, bench_rows, Num, Quoted};
 use fakeaudit_telemetry::{
     AlertTransition, BurnRule, MonitorConfig, Signal, SloMonitor, Telemetry, TransitionKind,
 };
@@ -455,54 +456,46 @@ pub fn check(r: &DetectTimeResult) -> Result<(), String> {
 
 /// Renders the sweep as `results/BENCH_monitor.json`.
 pub fn render_json(seed: u64, r: &DetectTimeResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"bench\": \"monitor\",");
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\n    \"seed\": {seed},\n    \"duration_secs\": {:.1},\n    \
-         \"step_secs\": {:.1},\n    \"fault_rate\": {},\n    \"burst_factor\": {:.1},\n    \
-         \"requests\": {},\n    \"faults\": {},\n    \"incidents\": {}\n  }},",
-        r.duration_secs,
-        r.step_secs,
-        r.fault_rate,
-        r.burst_factor,
-        r.requests,
-        r.faults,
-        r.bursts.len(),
-    );
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, row) in r.rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"short_secs\": {:.1}, \"long_secs\": {:.1}, \
-             \"burn_threshold\": {:.1}, \"pending_secs\": {:.1}, \"clear_secs\": {:.1}, \
-             \"bursts\": {}, \"detected\": {}, \"fresh\": {}, \"carryover\": {}, \
-             \"missed\": {}, \"false_firings\": {}, \"mean_ttd_secs\": {:.1}, \
-             \"max_ttd_secs\": {:.1}, \"mean_ttr_secs\": {:.1}, \"transitions\": {}}}",
-            row.config.name,
-            row.config.short_secs,
-            row.config.long_secs,
-            row.config.burn_threshold,
-            row.config.pending_secs,
-            row.config.clear_secs,
-            row.bursts,
-            row.detected,
-            row.fresh,
-            row.carryover,
-            row.missed,
-            row.false_firings,
-            row.mean_ttd_secs,
-            row.max_ttd_secs,
-            row.mean_ttr_secs,
-            row.transitions,
-        );
-        let _ = writeln!(out, "{}", if i + 1 < r.rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let config = [
+        ("seed", seed.to_string()),
+        ("duration_secs", format!("{:.1}", r.duration_secs)),
+        ("step_secs", format!("{:.1}", r.step_secs)),
+        ("fault_rate", Num(r.fault_rate).to_string()),
+        ("burst_factor", format!("{:.1}", r.burst_factor)),
+        ("requests", r.requests.to_string()),
+        ("faults", r.faults.to_string()),
+        ("incidents", r.bursts.len().to_string()),
+    ];
+    let rows: Vec<String> = r
+        .rows
+        .iter()
+        .map(|row| {
+            format!(
+                "{{\"name\": {}, \"short_secs\": {:.1}, \"long_secs\": {:.1}, \
+                 \"burn_threshold\": {:.1}, \"pending_secs\": {:.1}, \"clear_secs\": {:.1}, \
+                 \"bursts\": {}, \"detected\": {}, \"fresh\": {}, \"carryover\": {}, \
+                 \"missed\": {}, \"false_firings\": {}, \"mean_ttd_secs\": {:.1}, \
+                 \"max_ttd_secs\": {:.1}, \"mean_ttr_secs\": {:.1}, \"transitions\": {}}}",
+                Quoted(&row.config.name),
+                row.config.short_secs,
+                row.config.long_secs,
+                row.config.burn_threshold,
+                row.config.pending_secs,
+                row.config.clear_secs,
+                row.bursts,
+                row.detected,
+                row.fresh,
+                row.carryover,
+                row.missed,
+                row.false_firings,
+                row.mean_ttd_secs,
+                row.max_ttd_secs,
+                row.mean_ttr_secs,
+                row.transitions,
+            )
+        })
+        .collect();
+    bench_json("monitor", &config, &[("scenarios", bench_rows(&rows))])
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   rule: an arrival that finds an idle backend is served at once, only
 //!   an arrival that finds every backend busy is offered to the queue,
 //!   and a caller that finishes hands its backend to the queue's head;
-//! * service goes through [`AuditBackend::serve_traced_at`], with the
+//! * service goes through [`AuditBackend::serve`], with the
 //!   same rebased trace context and server-clock time the simulator
 //!   passes;
 //! * what a finished request leaves behind (its spans or refusal point,
@@ -500,8 +500,7 @@ impl Dispatcher {
         }
         progress(JobEvent::Started);
         let open = self.books.open(now);
-        let result = match backend.serve_traced_at(&self.platform, req.target, open.backend(), now)
-        {
+        let result = match backend.serve(&self.platform, req.target, open.backend(), now) {
             Ok(response) => {
                 let finished = self.clock.now_secs();
                 let record = self.books.completed(req, &open, now, finished, &response);
@@ -551,7 +550,7 @@ mod tests {
     use fakeaudit_detectors::{AuditOutcome, VerdictCounts};
     use fakeaudit_server::RequestOutcome;
     use fakeaudit_telemetry::analyze::names;
-    use fakeaudit_telemetry::ManualClock;
+    use fakeaudit_telemetry::{ManualClock, TraceContext};
     use fakeaudit_twittersim::SimTime;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -638,6 +637,8 @@ mod tests {
             &mut self,
             _platform: &Platform,
             target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
             let mut st = lock(&self.gate.state);
             st.entered.push((target, thread::current().id()));

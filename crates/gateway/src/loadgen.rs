@@ -32,6 +32,7 @@
 //! (`exp_http_load` pins both to the same constant).
 
 use fakeaudit_server::workload::Request;
+use fakeaudit_telemetry::json::{bench_json, bench_rows, Quoted};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -312,55 +313,47 @@ pub fn run_closed_loop(
 /// and the total breaker trip count read from gateway telemetry.
 ///
 /// `config` values must already be valid JSON fragments (numbers, or
-/// pre-quoted strings).
+/// strings written through `json::Quoted`).
 pub fn render_bench_json(
     config: &[(&str, String)],
     breaker_trips: u64,
     scenarios: &[LoadSummary],
 ) -> String {
-    use std::fmt::Write as _;
     fn ms(v: f64) -> f64 {
         (v * 1e6).round() / 1e3
     }
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"schema_version\": 1,\n  \"bench\": \"gateway\",\n  \"config\": {");
-    for (i, (k, v)) in config.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    \"{k}\": {v}");
-    }
-    let _ = write!(
-        out,
-        "\n  }},\n  \"breaker_trips\": {breaker_trips},\n  \"scenarios\": ["
-    );
-    for (i, s) in scenarios.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"mode\": \"{}\", \"offered\": {}, \"answered\": {}, \
-             \"shed\": {}, \"expired\": {}, \"errors\": {}, \"wall_secs\": {:.3}, \
-             \"requests_per_sec\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"shed_rate\": {:.4}}}",
-            s.name,
-            s.mode,
-            s.offered,
-            s.answered,
-            s.shed,
-            s.expired,
-            s.errors,
-            s.wall_secs,
-            s.requests_per_sec(),
-            ms(s.latency_percentile(0.50)),
-            ms(s.latency_percentile(0.95)),
-            ms(s.latency_percentile(0.99)),
-            s.shed_rate(),
-        );
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let rows: Vec<String> = scenarios
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"name\": {}, \"mode\": {}, \"offered\": {}, \"answered\": {}, \
+                 \"shed\": {}, \"expired\": {}, \"errors\": {}, \"wall_secs\": {:.3}, \
+                 \"requests_per_sec\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
+                 \"p99_ms\": {:.3}, \"shed_rate\": {:.4}}}",
+                Quoted(&s.name),
+                Quoted(s.mode),
+                s.offered,
+                s.answered,
+                s.shed,
+                s.expired,
+                s.errors,
+                s.wall_secs,
+                s.requests_per_sec(),
+                ms(s.latency_percentile(0.50)),
+                ms(s.latency_percentile(0.95)),
+                ms(s.latency_percentile(0.99)),
+                s.shed_rate(),
+            )
+        })
+        .collect();
+    bench_json(
+        "gateway",
+        config,
+        &[
+            ("breaker_trips", breaker_trips.to_string()),
+            ("scenarios", bench_rows(&rows)),
+        ],
+    )
 }
 
 #[cfg(test)]

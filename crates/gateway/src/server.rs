@@ -692,48 +692,6 @@ fn handle_audit_stream(
     Ok(false)
 }
 
-/// Builds [`QueryOptions`] from the request's query string
-/// (`?since=&until=&bucket=&k=&by=`). Unset parameters keep defaults.
-fn query_options(request: &http::Request) -> Result<QueryOptions, String> {
-    let mut opts = QueryOptions::default();
-    if let Some(raw) = request.query_param("since") {
-        opts.since_secs = Some(
-            raw.parse::<i64>()
-                .map_err(|_| format!("bad since {raw:?} (want integer seconds)"))?,
-        );
-    }
-    if let Some(raw) = request.query_param("until") {
-        opts.until_secs = Some(
-            raw.parse::<i64>()
-                .map_err(|_| format!("bad until {raw:?} (want integer seconds)"))?,
-        );
-    }
-    if let Some(raw) = request.query_param("bucket") {
-        let bucket = raw
-            .parse::<i64>()
-            .map_err(|_| format!("bad bucket {raw:?} (want positive integer seconds)"))?;
-        if bucket <= 0 {
-            return Err(format!(
-                "bad bucket {raw:?} (want positive integer seconds)"
-            ));
-        }
-        opts.bucket_secs = bucket;
-    }
-    if let Some(raw) = request.query_param("k") {
-        let k = raw
-            .parse::<usize>()
-            .map_err(|_| format!("bad k {raw:?} (want positive integer)"))?;
-        if k == 0 {
-            return Err(format!("bad k {raw:?} (want positive integer)"));
-        }
-        opts.k = k;
-    }
-    if let Some(raw) = request.query_param("by") {
-        opts.by = raw.parse().map_err(|e: String| e)?;
-    }
-    Ok(opts)
-}
-
 /// `GET /query/:kind` — the analytics surface over the history store.
 /// Reads the writer's live view: its in-memory segments plus its
 /// buffered rows, so every persisted audit is visible without a flush or
@@ -768,7 +726,7 @@ fn handle_query(
             return respond(shared, stream, 404, &wire::error_json(&msg));
         }
     };
-    let opts = match query_options(request) {
+    let opts = match QueryOptions::from_params(|key| request.query_param(key)) {
         Ok(opts) => opts,
         Err(msg) => {
             return respond(shared, stream, 400, &wire::error_json(&msg));

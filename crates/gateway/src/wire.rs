@@ -1,78 +1,18 @@
 //! Wire formats: response JSON and the Prometheus text exposition.
 //!
-//! Hand-rolled like the telemetry JSONL sink — the gateway emits a small
-//! closed set of shapes, so a JSON dependency would buy nothing. All
-//! encoders are pure functions over already-computed values; nothing
-//! here touches sockets or clocks.
+//! Each body is one format string over `telemetry::json`'s [`Quoted`],
+//! [`Num`] and [`OrNull`], so strings escape and non-finite numbers
+//! become `null` exactly as in every other JSON the workspace writes.
+//! All encoders are pure functions over already-computed values;
+//! nothing here touches sockets or clocks.
 
 use crate::dispatch::{Answered, LaneStatus, Rejection};
 use fakeaudit_detectors::ToolId;
 use fakeaudit_store::StoreHealth;
+use fakeaudit_telemetry::json::{Escaped, Num, OrNull, Quoted};
 use fakeaudit_telemetry::{AlertPhase, MetricsSnapshot, MonitorCounts, RetentionStats};
 use fakeaudit_twittersim::AccountId;
 use std::fmt::{self, Write as _};
-
-/// `s` JSON-escaped, without surrounding quotes.
-struct Escaped<'a>(&'a str);
-
-impl fmt::Display for Escaped<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.0;
-        let mut plain = 0;
-        for (i, c) in s.char_indices() {
-            let short = match c {
-                '"' => Some("\\\""),
-                '\\' => Some("\\\\"),
-                '\n' => Some("\\n"),
-                '\r' => Some("\\r"),
-                '\t' => Some("\\t"),
-                c if (c as u32) < 0x20 => None,
-                _ => continue,
-            };
-            f.write_str(&s[plain..i])?;
-            match short {
-                Some(escape) => f.write_str(escape)?,
-                None => write!(f, "\\u{:04x}", c as u32)?,
-            }
-            plain = i + c.len_utf8();
-        }
-        f.write_str(&s[plain..])
-    }
-}
-
-/// A quoted, escaped JSON string.
-struct Quoted<'a>(&'a str);
-
-impl fmt::Display for Quoted<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", Escaped(self.0))
-    }
-}
-
-/// An f64 as JSON (non-finite becomes `null`).
-struct Num(f64);
-
-impl fmt::Display for Num {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{}", self.0)
-        } else {
-            f.write_str("null")
-        }
-    }
-}
-
-/// `Some` value as JSON, or `null`.
-struct OrNull<T>(Option<T>);
-
-impl<T: fmt::Display> fmt::Display for OrNull<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(value) => value.fmt(f),
-            None => f.write_str("null"),
-        }
-    }
-}
 
 /// The `{"error":…}` body every refused request carries, `message`
 /// escaped.
@@ -209,7 +149,7 @@ pub fn health_json(
 ) -> String {
     format!(
         "{{\"status\":{},\"uptime_secs\":{},\"tools\":{},\"slo\":{},\"store\":{}}}",
-        if draining { "\"draining\"" } else { "\"ok\"" },
+        Quoted(if draining { "draining" } else { "ok" }),
         Num(uptime_secs),
         LanesJson(lanes),
         OrNull(slo.map(SloJson)),

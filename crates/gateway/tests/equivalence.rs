@@ -185,18 +185,10 @@ impl AuditBackend for Scripted {
         &mut self,
         _platform: &Platform,
         target: AccountId,
-    ) -> Result<ServiceResponse, ServiceError> {
-        audit(self.tool, target)
-    }
-
-    fn serve_traced_at(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
         _ctx: &TraceContext,
         now_secs: f64,
     ) -> Result<ServiceResponse, ServiceError> {
-        let result = self.serve(platform, target);
+        let result = audit(self.tool, target);
         if let (Some(h), Ok(resp)) = (&self.harness, &result) {
             let i = tool_index(self.tool);
             let mut st = h.lock();

@@ -39,6 +39,14 @@ pub trait AuditBackend {
     fn tool(&self) -> ToolId;
     /// Serves one request at the platform's current time.
     ///
+    /// Backends that trace (an `OnlineService`) attach their
+    /// `service.request` subtree under `ctx`: the simulator and the
+    /// gateway pass the open `server.service` span here. `now_secs` is
+    /// the driver's clock (seconds since its start), which backends with
+    /// time-dependent state need: an `OnlineService`'s circuit breaker
+    /// cools down on it, because the platform clock is frozen for the
+    /// whole run. Scripted test backends may ignore both.
+    ///
     /// # Errors
     ///
     /// Propagates the service's [`ServiceError`] (quota, audit failure).
@@ -46,44 +54,9 @@ pub trait AuditBackend {
         &mut self,
         platform: &Platform,
         target: AccountId,
-    ) -> Result<ServiceResponse, ServiceError>;
-    /// [`AuditBackend::serve`] with a causal position: backends that
-    /// trace (an `OnlineService`) attach their `service.request` subtree
-    /// under `ctx` — the simulator passes its open `server.service` span
-    /// here. The default implementation ignores the context, so scripted
-    /// test backends need not care.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditBackend::serve`].
-    fn serve_traced(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-        ctx: &TraceContext,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let _ = ctx;
-        self.serve(platform, target)
-    }
-    /// [`AuditBackend::serve_traced`] with the simulator's event-loop
-    /// clock (seconds since run start). Backends with time-dependent
-    /// state — an `OnlineService`'s circuit breaker cools down in wall
-    /// time — need the advancing server clock, because the platform clock
-    /// is frozen for the whole run. The default ignores it.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditBackend::serve`].
-    fn serve_traced_at(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
         ctx: &TraceContext,
         now_secs: f64,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let _ = now_secs;
-        self.serve_traced(platform, target, ctx)
-    }
+    ) -> Result<ServiceResponse, ServiceError>;
     /// The degrade-to-stale answer, if any report for `target` exists.
     fn serve_stale(&self, target: AccountId) -> Option<ServiceResponse>;
     /// The current circuit-breaker state, for backends that run one (an
@@ -102,23 +75,6 @@ impl<A: FollowerAuditor> AuditBackend for OnlineService<A> {
     }
 
     fn serve(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-    ) -> Result<ServiceResponse, ServiceError> {
-        self.request(platform, target)
-    }
-
-    fn serve_traced(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-        ctx: &TraceContext,
-    ) -> Result<ServiceResponse, ServiceError> {
-        self.request_in(platform, target, ctx)
-    }
-
-    fn serve_traced_at(
         &mut self,
         platform: &Platform,
         target: AccountId,
@@ -709,7 +665,7 @@ impl<'p> ServerSim<'p> {
         let server = &mut self.servers[idx];
         match server
             .backend
-            .serve_traced_at(self.platform, req.target, open.backend(), now)
+            .serve(self.platform, req.target, open.backend(), now)
         {
             Ok(resp) => {
                 server.idle_workers -= 1;
@@ -805,6 +761,8 @@ mod tests {
             &mut self,
             _platform: &Platform,
             target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
             self.known.push(target);
             Ok(self.response(target, false))
@@ -1129,6 +1087,8 @@ mod tests {
             &mut self,
             _platform: &Platform,
             _target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
             Err(ServiceError::Quota(
                 fakeaudit_analytics::quota::QuotaExceeded { limit: 0, day: 0 },

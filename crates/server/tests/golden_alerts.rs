@@ -62,14 +62,6 @@ impl AuditBackend for BurstBackend {
         &mut self,
         _platform: &Platform,
         target: AccountId,
-    ) -> Result<ServiceResponse, ServiceError> {
-        Ok(self.response(target, self.base_secs))
-    }
-
-    fn serve_traced_at(
-        &mut self,
-        _platform: &Platform,
-        target: AccountId,
         _ctx: &TraceContext,
         now_secs: f64,
     ) -> Result<ServiceResponse, ServiceError> {

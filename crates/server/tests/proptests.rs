@@ -17,7 +17,8 @@ use fakeaudit_server::{
 };
 use fakeaudit_telemetry::analyze::names;
 use fakeaudit_telemetry::{
-    BurnRule, MonitorConfig, SloMonitor, Telemetry, TraceEvent, TraceTree, TransitionKind,
+    BurnRule, MonitorConfig, SloMonitor, Telemetry, TraceContext, TraceEvent, TraceTree,
+    TransitionKind,
 };
 use fakeaudit_twittersim::{AccountId, Platform, SimTime};
 
@@ -57,6 +58,8 @@ impl AuditBackend for ScriptedBackend {
         &mut self,
         _platform: &Platform,
         target: AccountId,
+        _ctx: &TraceContext,
+        _now_secs: f64,
     ) -> Result<ServiceResponse, ServiceError> {
         self.known.push(target);
         Ok(self.response(target, false))

@@ -22,8 +22,9 @@
 //! either from opening a directory or, with no I/O, from a live
 //! writer's in-memory segments ([`StoreWriter::snapshot`]).
 //!
-//! Dependency-free by design: std only, no allocator tricks —
-//! callers (server sim, gateway, CLI, bench) wire the returned
+//! Std only, apart from `telemetry::json`, which writes the strings of
+//! a query report; no allocator tricks — callers (server sim, gateway,
+//! CLI, bench) wire the returned
 //! [`FlushInfo`]/[`ScanStats`]/[`RecoveryReport`] into telemetry
 //! themselves.
 

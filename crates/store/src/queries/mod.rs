@@ -22,6 +22,7 @@ mod retention;
 mod timeseries;
 mod topk;
 
+use fakeaudit_telemetry::json::Quoted;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io;
@@ -138,6 +139,48 @@ impl Default for QueryOptions {
 }
 
 impl QueryOptions {
+    /// Reads `since`, `until`, `bucket`, `k` and `by` through `param`:
+    /// `/query`'s URL parameters or `fakeaudit query`'s flags. An absent
+    /// one keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// Names the first value that does not parse, or a `bucket` or `k`
+    /// that is not positive.
+    pub fn from_params<'a>(param: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+        fn read<T: FromStr>(
+            raw: Option<&str>,
+            key: &str,
+            want: &str,
+            valid: impl Fn(&T) -> bool,
+        ) -> Result<Option<T>, String> {
+            raw.map(|raw| {
+                raw.parse()
+                    .ok()
+                    .filter(&valid)
+                    .ok_or_else(|| format!("bad {key} {raw:?} (want {want})"))
+            })
+            .transpose()
+        }
+        let defaults = Self::default();
+        Ok(Self {
+            since_secs: read(param("since"), "since", "integer seconds", |_| true)?,
+            until_secs: read(param("until"), "until", "integer seconds", |_| true)?,
+            bucket_secs: read(
+                param("bucket"),
+                "bucket",
+                "positive integer seconds",
+                |&b| b > 0,
+            )?
+            .unwrap_or(defaults.bucket_secs),
+            k: read(param("k"), "k", "positive integer", |&k| k > 0)?.unwrap_or(defaults.k),
+            by: param("by")
+                .map(str::parse)
+                .transpose()?
+                .unwrap_or(defaults.by),
+        })
+    }
+
     pub(crate) fn since_micros(&self) -> Option<i64> {
         self.since_secs.map(|s| s.saturating_mul(1_000_000))
     }
@@ -317,22 +360,7 @@ impl Cell {
             }
             Cell::Float(_) => out.push_str("null"),
             Cell::Str(s) => {
-                out.reserve(s.len() + 2);
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
+                let _ = write!(out, "{}", Quoted(s));
             }
         }
     }
@@ -569,6 +597,41 @@ mod tests {
         assert!(table.contains("rank"));
         assert!(table.ends_with("# 2 rows · scanned 30 rows in 3/4 segments (10 rows pruned)\n"));
         assert_eq!(report.to_table(), table);
+    }
+
+    #[test]
+    fn params_parse_with_defaults_and_name_the_bad_one() {
+        let params = |pairs: &'static [(&'static str, &'static str)]| {
+            QueryOptions::from_params(|key| pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v))
+        };
+        let opts = params(&[("since", "-5"), ("bucket", "30"), ("by", "cost")]).unwrap();
+        assert_eq!(opts.since_secs, Some(-5));
+        assert_eq!(opts.until_secs, None);
+        assert_eq!((opts.bucket_secs, opts.k, opts.by), (30, 10, TopkBy::Cost));
+        for (pairs, message) in [
+            (
+                &[("since", "abc")][..],
+                "bad since \"abc\" (want integer seconds)",
+            ),
+            (
+                &[("until", "1.5")],
+                "bad until \"1.5\" (want integer seconds)",
+            ),
+            (
+                &[("bucket", "0")],
+                "bad bucket \"0\" (want positive integer seconds)",
+            ),
+            (&[("k", "-1")], "bad k \"-1\" (want positive integer)"),
+            (
+                &[("k", "0"), ("since", "x")],
+                "bad since \"x\" (want integer seconds)",
+            ),
+        ] {
+            assert_eq!(params(pairs).unwrap_err(), message);
+        }
+        assert!(params(&[("by", "speed")])
+            .unwrap_err()
+            .contains("unknown topk key"));
     }
 
     #[test]

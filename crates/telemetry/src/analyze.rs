@@ -15,7 +15,7 @@
 //! the event stream *before* their parents; [`TraceTree::build`] tolerates
 //! any order and keeps spans whose parent never closed as extra roots.
 
-use crate::sink::{escape_json_into, push_f64};
+use crate::json::{Num, Quoted};
 use crate::trace::{EventKind, SpanId, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -500,25 +500,26 @@ pub fn chrome_trace_json(events: &[TraceEvent], opts: &ChromeTraceOptions) -> St
         out.push_str(&line);
     };
     for (tool, tid) in &tid_of_tool {
-        let mut line = String::from("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":");
-        let _ = write!(line, "{}", opts.pid);
-        let _ = write!(line, ",\"tid\":{tid},\"args\":{{\"name\":\"");
-        escape_json_into(tool, &mut line);
-        line.push_str("\"}}");
+        let line = format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{tid},\
+             \"args\":{{\"name\":{}}}}}",
+            opts.pid,
+            Quoted(tool)
+        );
         emit(line, &mut out, &mut first);
     }
     for (i, e) in events.iter().enumerate() {
-        let mut line = String::from("{\"name\":\"");
-        escape_json_into(&e.name, &mut line);
-        line.push_str("\",\"ph\":\"");
-        line.push_str(if e.kind == EventKind::Span { "X" } else { "i" });
-        line.push_str("\",\"ts\":");
-        push_f64(e.t0 * 1e6, &mut line);
+        let mut line = format!("{{\"name\":{}", Quoted(&e.name));
         if e.kind == EventKind::Span {
-            line.push_str(",\"dur\":");
-            push_f64(((e.t1 - e.t0) * 1e6).max(0.0), &mut line);
+            let dur = ((e.t1 - e.t0) * 1e6).max(0.0);
+            let _ = write!(
+                line,
+                ",\"ph\":\"X\",\"ts\":{},\"dur\":{}",
+                Num(e.t0 * 1e6),
+                Num(dur)
+            );
         } else {
-            line.push_str(",\"s\":\"t\"");
+            let _ = write!(line, ",\"ph\":\"i\",\"ts\":{},\"s\":\"t\"", Num(e.t0 * 1e6));
         }
         let _ = write!(line, ",\"pid\":{},\"tid\":{}", opts.pid, tid_of_event[i]);
         line.push_str(",\"args\":{");
@@ -532,11 +533,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], opts: &ChromeTraceOptions) -> St
                 line.push(',');
             }
             first_arg = false;
-            line.push('"');
-            escape_json_into(k, &mut line);
-            line.push_str("\":\"");
-            escape_json_into(v, &mut line);
-            line.push('"');
+            let _ = write!(line, "{}:{}", Quoted(k), Quoted(v));
         }
         line.push_str("}}");
         emit(line, &mut out, &mut first);

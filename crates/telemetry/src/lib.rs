@@ -15,6 +15,8 @@
 //!   `cache.hit{tool=TA}`, `service.response_secs{tool,source}` …);
 //! * [`sink`] — the JSON-lines trace encoding (buffered via
 //!   [`JsonlSink`]) and its parser;
+//! * [`json`] — the workspace's one JSON escaper, number format, reader
+//!   and `BENCH_*.json` envelope;
 //! * [`clock`] — the [`Clock`] seam between simulated seconds and
 //!   `Instant`-based wall time, so the wall-clock gateway and the
 //!   simulators share one analysis layer;
@@ -60,6 +62,7 @@
 
 pub mod analyze;
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod monitor;
 pub mod profile;

@@ -43,6 +43,7 @@
 //! quantiles, giving `GET /metrics/history` a short flight recorder
 //! without external storage.
 
+use crate::json::{OrNull, Quoted};
 use crate::metrics::HistogramSnapshot;
 use crate::trace::SpanId;
 use crate::{lock, Telemetry};
@@ -859,9 +860,9 @@ impl SloMonitor {
                 .unwrap_or(AlertPhase::Idle);
             let _ = write!(
                 out,
-                "{{\"route\":\"{}\",\"status\":\"{}\"}}",
-                escape(route),
-                worst.as_str()
+                "{{\"route\":{},\"status\":{}}}",
+                Quoted(route),
+                Quoted(worst.as_str())
             );
         }
         out.push_str("],\"transitions\":[");
@@ -871,17 +872,16 @@ impl SloMonitor {
             }
             let _ = write!(
                 out,
-                "{{\"t\":{:.3},\"route\":\"{}\",\"rule\":\"{}\",\"signal\":\"{}\",\
-                 \"to\":\"{}\",\"short_burn\":{:.4},\"long_burn\":{:.4},\"exemplar\":{}}}",
+                "{{\"t\":{:.3},\"route\":{},\"rule\":{},\"signal\":{},\
+                 \"to\":{},\"short_burn\":{:.4},\"long_burn\":{:.4},\"exemplar\":{}}}",
                 t.at_secs,
-                escape(&t.route),
-                escape(&t.rule),
-                t.signal,
-                t.to,
+                Quoted(&t.route),
+                Quoted(&t.rule),
+                Quoted(t.signal.as_str()),
+                Quoted(t.to.as_str()),
                 t.short_burn,
                 t.long_burn,
-                t.exemplar
-                    .map_or_else(|| "null".to_string(), |id| format!("\"{id}\""))
+                OrNull(t.exemplar.map(|id| format!("\"{id}\"")))
             );
         }
         out.push_str("]}");
@@ -908,7 +908,7 @@ impl SloMonitor {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":{}", escape(name), delta);
+                let _ = write!(out, "{}:{}", Quoted(name), delta);
             }
             out.push_str("},\"quantiles\":{");
             for (j, (name, q)) in frame.quantiles.iter().enumerate() {
@@ -917,8 +917,8 @@ impl SloMonitor {
                 }
                 let _ = write!(
                     out,
-                    "\"{}\":{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6}}}",
-                    escape(name),
+                    "{}:{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6}}}",
+                    Quoted(name),
                     q[0],
                     q[1],
                     q[2]
@@ -959,26 +959,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Minimal JSON string escaping (names are internal identifiers, but a
-/// route label could in principle carry anything).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1238,7 +1218,11 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let tel = Telemetry::enabled();
+        let monitor = SloMonitor::new(tight_config(1), tel);
+        monitor.observe_request("a\"b\\c\nd\u{1}", 1.0, Some(1.0), true, None);
+        assert!(monitor
+            .alerts_json()
+            .contains("{\"route\":\"a\\\"b\\\\c\\nd\\u0001\",\"status\":\"ok\"}"));
     }
 }

@@ -10,56 +10,30 @@
 //! recorded through a [`TraceContext`](crate::TraceContext)); flat records
 //! keep the pre-causal shape. The schema deliberately contains **only
 //! sim-time fields** (`t0`, `t1`); no wall-clock timestamp ever enters a
-//! record, so traces from identical seeds are byte-identical. Numbers are
-//! rendered with Rust's shortest round-trip `f64` formatting, which is
-//! itself deterministic.
+//! record, so traces from identical seeds are byte-identical. Strings and
+//! numbers are written through [`crate::json`]: numbers in Rust's
+//! shortest round-trip `f64` form, which is itself deterministic.
 //!
-//! [`parse_jsonl`] reads the encoding back — the `fakeaudit trace`
-//! subcommands analyze traces from disk without any external JSON
-//! dependency. The parser accepts exactly what the writer emits (fixed
-//! key order, one record per line), which is all it ever needs to read.
+//! [`parse_jsonl`] reads the encoding back through [`json::parse`], so the
+//! `fakeaudit trace` subcommands analyze traces from disk. It checks each
+//! record's fields, whatever their order.
 
-use crate::trace::{SpanId, TraceEvent};
+use crate::json::{self, Num, Quoted, Value};
+use crate::trace::{EventKind, SpanId, TraceEvent};
 use std::fmt::Write as _;
 use std::io::{self, Write};
-
-/// Appends the JSON escape of `s` (without surrounding quotes) to `out`.
-pub(crate) fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-pub(crate) fn push_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        // JSON has no Infinity/NaN; `null` keeps the line parseable.
-        out.push_str("null");
-    }
-}
 
 /// Encodes one record as a single JSON line (no trailing newline).
 pub fn event_to_json(e: &TraceEvent) -> String {
     let mut out = String::with_capacity(96);
-    out.push_str("{\"type\":\"");
-    out.push_str(e.kind.as_str());
-    out.push_str("\",\"name\":\"");
-    escape_json_into(&e.name, &mut out);
-    out.push_str("\",\"t0\":");
-    push_f64(e.t0, &mut out);
-    out.push_str(",\"t1\":");
-    push_f64(e.t1, &mut out);
+    let _ = write!(
+        out,
+        "{{\"type\":\"{}\",\"name\":{},\"t0\":{},\"t1\":{}",
+        e.kind.as_str(),
+        Quoted(&e.name),
+        Num(e.t0),
+        Num(e.t1)
+    );
     if let Some(SpanId(id)) = e.id {
         let _ = write!(out, ",\"id\":{id}");
     }
@@ -68,14 +42,8 @@ pub fn event_to_json(e: &TraceEvent) -> String {
     }
     out.push_str(",\"attrs\":{");
     for (i, (k, v)) in e.attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json_into(k, &mut out);
-        out.push_str("\":\"");
-        escape_json_into(v, &mut out);
-        out.push('"');
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}{}:{}", Quoted(k), Quoted(v));
     }
     out.push_str("}}");
     out
@@ -236,128 +204,52 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A cursor over one JSONL record.
-struct Scanner<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scanner<'a> {
-    fn expect(&mut self, token: &str) -> Result<(), String> {
-        match self.rest.strip_prefix(token) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected {token:?} at {:?}",
-                &self.rest[..self.rest.len().min(20)]
-            )),
-        }
-    }
-
-    fn peek(&self, token: &str) -> bool {
-        self.rest.starts_with(token)
-    }
-
-    /// Reads a JSON string (after the opening quote), unescaping.
-    fn string(&mut self) -> Result<String, String> {
-        self.expect("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let hex: String = (0..4)
-                            .filter_map(|_| chars.next())
-                            .map(|(_, c)| c)
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    /// Reads a JSON number or `null` (as NaN).
-    fn number(&mut self) -> Result<f64, String> {
-        if self.peek("null") {
-            self.rest = &self.rest[4..];
-            return Ok(f64::NAN);
-        }
-        let end = self
-            .rest
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-            .unwrap_or(self.rest.len());
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        num.parse().map_err(|e| format!("bad number {num:?}: {e}"))
-    }
-}
-
 /// Parses one line of the writer's encoding back into a [`TraceEvent`].
 fn parse_line(line: &str) -> Result<TraceEvent, String> {
-    let mut s = Scanner { rest: line.trim() };
-    s.expect("{\"type\":")?;
-    let kind = match s.string()?.as_str() {
-        "span" => crate::EventKind::Span,
-        "event" => crate::EventKind::Point,
-        other => return Err(format!("unknown record type {other:?}")),
+    let Value::Obj(mut record) = json::parse(line)? else {
+        return Err("a trace record must be an object".into());
     };
-    s.expect(",\"name\":")?;
-    let name = s.string()?;
-    s.expect(",\"t0\":")?;
-    let t0 = s.number()?;
-    s.expect(",\"t1\":")?;
-    let t1 = s.number()?;
-    let mut id = None;
-    if s.peek(",\"id\":") {
-        s.expect(",\"id\":")?;
-        id = Some(SpanId(s.number()? as u64));
-    }
-    let mut parent = None;
-    if s.peek(",\"parent\":") {
-        s.expect(",\"parent\":")?;
-        parent = Some(SpanId(s.number()? as u64));
-    }
-    s.expect(",\"attrs\":{")?;
-    let mut attrs = Vec::new();
-    if !s.peek("}") {
-        loop {
-            let key = s.string()?;
-            s.expect(":")?;
-            let value = s.string()?;
-            attrs.push((key, value));
-            if s.peek(",") {
-                s.expect(",")?;
-            } else {
-                break;
-            }
-        }
-    }
-    s.expect("}}")?;
-    if !s.rest.is_empty() {
-        return Err(format!("trailing input {:?}", s.rest));
-    }
+    let mut field = |key: &str| {
+        let i = record.iter().position(|(k, _)| k == key)?;
+        Some(record.swap_remove(i).1)
+    };
+    let kind = match field("type") {
+        Some(Value::Str(kind)) if kind == "span" => EventKind::Span,
+        Some(Value::Str(kind)) if kind == "event" => EventKind::Point,
+        Some(Value::Str(other)) => return Err(format!("unknown record type {other:?}")),
+        _ => return Err("missing string field \"type\"".into()),
+    };
+    let Some(Value::Str(name)) = field("name") else {
+        return Err("missing string field \"name\"".into());
+    };
+    // A non-finite time was written as `null`.
+    let time = |key: &str, value: Option<Value>| match value {
+        Some(Value::Num(t)) => Ok(t),
+        Some(Value::Null) => Ok(f64::NAN),
+        _ => Err(format!("missing numeric field {key:?}")),
+    };
+    let t0 = time("t0", field("t0"))?;
+    let t1 = time("t1", field("t1"))?;
+    let span_id = |key: &str, value: Option<Value>| match value {
+        None => Ok(None),
+        Some(Value::Num(id)) => Ok(Some(SpanId(id as u64))),
+        Some(_) => Err(format!("field {key:?} is not a number")),
+    };
+    let id = span_id("id", field("id"))?;
+    let parent = span_id("parent", field("parent"))?;
+    let Some(Value::Obj(pairs)) = field("attrs") else {
+        return Err("missing object field \"attrs\"".into());
+    };
+    let attrs = pairs
+        .into_iter()
+        .map(|(k, v)| match v {
+            Value::Str(v) => Ok((k.into_owned(), v.into_owned())),
+            _ => Err(format!("attribute {k:?} is not a string")),
+        })
+        .collect::<Result<_, String>>()?;
     Ok(TraceEvent {
         kind,
-        name,
+        name: name.into_owned(),
         t0,
         t1,
         id,
@@ -425,9 +317,7 @@ mod tests {
         let e = TraceEvent::point("x", 0.0, &[("k", "a\"b\\c\nd")]);
         let line = event_to_json(&e);
         assert!(line.contains("a\\\"b\\\\c\\nd"));
-        let mut s = String::new();
-        escape_json_into("\u{1}", &mut s);
-        assert_eq!(s, "\\u0001");
+        assert_eq!(json::Escaped("\u{1}").to_string(), "\\u0001");
     }
 
     #[test]
@@ -495,6 +385,32 @@ mod tests {
         let line = "{\"type\":\"event\",\"name\":\"x\",\"t0\":null,\"t1\":null,\"attrs\":{}}";
         let e = &parse_jsonl(line).unwrap()[0];
         assert!(e.t0.is_nan() && e.t1.is_nan());
+    }
+
+    #[test]
+    fn parse_takes_fields_in_any_order_and_checks_each() {
+        let line = "{\"attrs\":{\"k\":\"v\"},\"t1\":2,\"parent\":1,\"name\":\"x\",\
+                    \"t0\":1,\"id\":2,\"type\":\"span\"}";
+        let e = &parse_jsonl(line).unwrap()[0];
+        assert_eq!(
+            e,
+            &TraceEvent::span_in("x", 1.0, 2.0, &[("k", "v")], SpanId(2), Some(SpanId(1)))
+        );
+        for (bad, message) in [
+            (
+                "{\"type\":\"span\",\"t0\":0,\"t1\":0,\"attrs\":{}}",
+                "\"name\"",
+            ),
+            (
+                "{\"type\":\"span\",\"name\":\"x\",\"t0\":0,\"t1\":0,\"attrs\":{\"k\":1}}",
+                "not a string",
+            ),
+            ("[]", "must be an object"),
+        ] {
+            let err = parse_jsonl(&format!("\n{bad}")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains(message), "{bad}: {err}");
+        }
     }
 
     #[test]
