@@ -17,7 +17,8 @@
 //! a batch whose columns decode only when read. [`queries`] folds the
 //! analytical kinds (`timeseries`, `drift`, `retention`, `topk`)
 //! straight off those batches into per-segment partials, which a
-//! sealed segment the query window covers keeps cached, and
+//! sealed segment the query window covers keeps cached (as a sealed
+//! segment a window cuts keeps its decoded timestamps), and
 //! [`Store::scan`] materializes rows from them. A [`Store`] comes
 //! either from opening a directory or, with no I/O, from a live
 //! writer's in-memory segments ([`StoreWriter::snapshot`]).

@@ -340,7 +340,11 @@ impl Cell {
         match self {
             Cell::Int(v) => v.to_string(),
             Cell::UInt(v) => v.to_string(),
-            Cell::Float(v) => format!("{v:.4}"),
+            Cell::Float(v) => {
+                let mut out = String::new();
+                write_fixed4(&mut out, *v);
+                out
+            }
             Cell::Str(s) => s.clone(),
         }
     }
@@ -355,15 +359,81 @@ impl Cell {
             Cell::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
-            Cell::Float(v) if v.is_finite() => {
-                let _ = write!(out, "{v:.4}");
-            }
+            Cell::Float(v) if v.is_finite() => write_fixed4(out, *v),
             Cell::Float(_) => out.push_str("null"),
             Cell::Str(s) => {
                 let _ = write!(out, "{}", Quoted(s));
             }
         }
     }
+}
+
+/// Appends `v` exactly as `format!("{v:.4}")` would: the exact decimal
+/// value of the binary `v`, rounded half to even at the fourth decimal,
+/// with the `-` of a negative that rounds to zero kept. Values outside
+/// [`scaled_by_10k`]'s range go through `core::fmt` itself.
+fn write_fixed4(out: &mut String, v: f64) {
+    let Some(scaled) = scaled_by_10k(v) else {
+        let _ = write!(out, "{v:.4}");
+        return;
+    };
+    // Filled from the end: four decimals, the point, then at most 20
+    // integer digits and the sign.
+    let mut buf = [0u8; 26];
+    let mut at = buf.len();
+    let (mut int, mut frac) = (scaled / 10_000, scaled % 10_000);
+    for _ in 0..4 {
+        at -= 1;
+        buf[at] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    if v.is_sign_negative() {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// |v| · 10⁴, rounded half to even, when `v` is finite and that fits a
+/// `u64`. `v` is m · 2^e for a 53-bit m, so the product m · 10⁴ fits a
+/// `u128` and shifting it right by −e gives the quotient and the exact
+/// remainder the rounding reads. Any e ≥ 0 has |v| ≥ 2^52, past the
+/// range.
+fn scaled_by_10k(v: f64) -> Option<u64> {
+    if !v.is_finite() {
+        return None;
+    }
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, exp) = match biased {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << 52, biased - 1075),
+    };
+    if exp >= 0 {
+        return None;
+    }
+    let product = u128::from(mantissa) * 10_000;
+    let shift = exp.unsigned_abs();
+    if shift >= 128 {
+        // The product is below 2^67, so under half of 2^shift.
+        return Some(0);
+    }
+    let quotient = product >> shift;
+    let rest = product & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    let up = rest > half || (rest == half && quotient & 1 == 1);
+    u64::try_from(quotient + u128::from(up)).ok()
 }
 
 /// A finished query: column names, rows of cells, and the scan work it
@@ -554,6 +624,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fakeaudit_check::{check, Rng};
 
     #[test]
     fn kind_parses_and_rejects() {
@@ -570,6 +641,93 @@ mod tests {
         let mut out = String::new();
         Cell::Str("a\"b\\c\nd\u{1}".into()).write_json(&mut out);
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    /// `v` through the cell writer.
+    fn fixed4(v: f64) -> String {
+        let mut out = String::new();
+        write_fixed4(&mut out, v);
+        out
+    }
+
+    #[test]
+    fn fixed_point_cells_pin_the_edge_cases() {
+        for (v, want) in [
+            (0.0, "0.0000"),
+            (-0.0, "-0.0000"),
+            (-0.00001, "-0.0000"),
+            (0.03125, "0.0312"),
+            (0.09375, "0.0938"),
+            (-0.09375, "-0.0938"),
+            (87.5, "87.5000"),
+            (12.25, "12.2500"),
+            (99.99995, "99.9999"),
+            (5e-324, "0.0000"),
+            (1_844_674_407_370_955.0, "1844674407370955.0000"),
+            (1e300, &format!("{:.4}", 1e300)),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ] {
+            assert_eq!(fixed4(v), want, "{v:e}");
+        }
+        let mut json = String::new();
+        Cell::Float(f64::NAN).write_json(&mut json);
+        Cell::Float(-0.0).write_json(&mut json);
+        assert_eq!(json, "null-0.0000");
+    }
+
+    /// `v` or `-v`, by a coin.
+    fn signed(v: f64, rng: &mut Rng) -> f64 {
+        if rng.coin() {
+            -v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn fixed_point_cells_match_core_fmt() {
+        // Where |v| · 10⁴ passes `u64::MAX`, the fast range ends.
+        const EDGE: f64 = u64::MAX as f64 / 10_000.0;
+        const CASES: u64 = 20_000;
+        type Draw = fn(&mut Rng) -> f64;
+        let families: [(&str, Draw); 7] = [
+            ("finite bit patterns", |rng| loop {
+                let v = f64::from_bits(rng.next_u64());
+                if v.is_finite() {
+                    break v;
+                }
+            }),
+            ("uniform in [0, 1]", |rng| rng.unit()),
+            ("uniform in [0, 100]", |rng| rng.range(0.0..100.0)),
+            // Every exact tie at four decimals is an odd multiple of
+            // 1/32: (2j + 1) / 20 000 is binary only when 625 divides
+            // 2j + 1.
+            ("halfway cases", |rng| {
+                signed((2 * rng.below(1 << 40) + 1) as f64 / 32.0, rng)
+            }),
+            ("negatives that round to zero", |rng| {
+                -rng.range(0.0..0.00005)
+            }),
+            ("subnormals", |rng| {
+                signed(f64::from_bits(rng.below(1 << 52)), rng)
+            }),
+            ("the fast range's edge", |rng| {
+                let bits = EDGE.to_bits() - 2_000 + rng.below(4_000);
+                signed(f64::from_bits(bits), rng)
+            }),
+        ];
+        let fast = std::cell::Cell::new(0);
+        for (name, draw) in families {
+            check(name, CASES, draw, |&v| {
+                fast.set(fast.get() + u64::from(scaled_by_10k(v).is_some()));
+                assert_eq!(fixed4(v), format!("{v:.4}"), "{v:e} = {:#x}", v.to_bits());
+            });
+        }
+        // Both the exact path and the `core::fmt` fallback ran often.
+        let slow = families.len() as u64 * CASES - fast.get();
+        assert!(fast.get() > 100_000 && slow > 10_000, "{fast:?}, {slow}");
     }
 
     #[test]

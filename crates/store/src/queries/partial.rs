@@ -14,10 +14,20 @@
 //!
 //! Either way the rows go through the kind's one fold, and sums merge
 //! exactly ([`super::ExactSum`]), so an answer does not depend on what
-//! is cached. Per segment, the cached partials' bytes never exceed the
-//! segment's encoded bytes: the least recently used partial is evicted
-//! to make room, and a partial larger than the whole budget is not
-//! cached, so its segment keeps folding rows.
+//! is cached.
+//!
+//! A sealed segment's decoded timestamp column is one more entry in the
+//! same cache ([`PartialCache::timestamps`]): `Store::batches` selects
+//! the rows of a sealed segment a window cuts from it, so a repeated
+//! window decodes and CRC-checks that column once, not on every query.
+//! A decode that fails is returned and caches nothing, and the tail
+//! segment caches nothing.
+//!
+//! Per segment, the cached partials' and timestamps' bytes together
+//! never exceed the segment's encoded bytes: the least recently used
+//! entry is evicted to make room, and an entry larger than the whole
+//! budget is not cached, so its segment keeps folding rows or decoding
+//! timestamps.
 
 use std::any::Any;
 use std::fmt;
@@ -43,30 +53,38 @@ pub(super) trait Partial: Any + Send + Sync + Sized {
     fn bytes(&self) -> usize;
 }
 
-/// What a cached partial answers for. The window, k and `by` are never
-/// part of it: a covered segment's partial holds all its rows, and k and
-/// `by` apply only when the merged answer is rendered.
+/// What a cache entry holds: one kind's partial, or the segment's
+/// timestamps. A partial's window, k and `by` are never part of its key:
+/// a covered segment's partial holds all its rows, and k and `by` apply
+/// only when the merged answer is rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PartialKey {
-    kind: QueryKind,
-    /// The bucket width the fold used, a width below 1 counting as 1
-    /// (as `bucket_of` takes it), or 0 for a kind that does not bucket.
-    bucket_secs: i64,
+enum PartialKey {
+    /// A kind's partial over all of the segment's rows.
+    Partial {
+        kind: QueryKind,
+        /// The bucket width the fold used, a width below 1 counting as 1
+        /// (as `bucket_of` takes it), or 0 for a kind that does not
+        /// bucket.
+        bucket_secs: i64,
+    },
+    /// The segment's decoded timestamp column.
+    Timestamps,
 }
 
 impl PartialKey {
     fn of<P: Partial>(bucket_secs: i64) -> Self {
-        Self {
+        Self::Partial {
             kind: P::KIND,
             bucket_secs: if P::BUCKETED { bucket_secs.max(1) } else { 0 },
         }
     }
 }
 
-/// The partials cached with one sealed segment, at most `budget` bytes
-/// of them. Its lock is held only to look up, insert or evict, never
-/// while a partial is folded: two queries racing to build the same
-/// partial both fold it, and the identical second copy is dropped.
+/// The partials and timestamps cached with one sealed segment, at most
+/// `budget` bytes of them. Its lock is held only to look up, insert or
+/// evict, never while an entry is built: two queries racing to build
+/// the same entry both build it, and the identical second copy is
+/// dropped.
 pub(crate) struct PartialCache {
     budget: usize,
     state: Mutex<CacheState>,
@@ -84,8 +102,8 @@ struct CacheState {
 
 struct Entry {
     key: PartialKey,
-    partial: Arc<dyn Any + Send + Sync>,
-    /// The partial's bytes plus this entry's own.
+    value: Arc<dyn Any + Send + Sync>,
+    /// The value's bytes plus this entry's own.
     bytes: usize,
     used: u64,
 }
@@ -99,9 +117,24 @@ impl PartialCache {
         }
     }
 
-    /// Bytes of the partials cached now.
+    /// Bytes of the partials and timestamps cached now.
     pub(crate) fn bytes(&self) -> usize {
         self.lock().bytes
+    }
+
+    /// The segment's timestamp column, from the cache or else from
+    /// `decode` (which checks the column's CRC), cached if it fits.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `decode` returns; nothing is cached then.
+    pub(crate) fn timestamps(
+        &self,
+        decode: impl FnOnce() -> io::Result<Vec<i64>>,
+    ) -> io::Result<Arc<Vec<i64>>> {
+        self.get_or_build(PartialKey::Timestamps, decode, |ts| {
+            size_of::<Vec<i64>>() + vec_bytes(ts)
+        })
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheState> {
@@ -110,20 +143,36 @@ impl PartialCache {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn get<P: Partial>(&self, key: PartialKey) -> Option<Arc<P>> {
+    /// The value cached under `key`, or else `build`'s, which is cached
+    /// if its `bytes` fit. A `build` error caches nothing.
+    fn get_or_build<T: Any + Send + Sync>(
+        &self,
+        key: PartialKey,
+        build: impl FnOnce() -> io::Result<T>,
+        bytes: impl FnOnce(&T) -> usize,
+    ) -> io::Result<Arc<T>> {
+        if let Some(hit) = self.get(key) {
+            return Ok(hit);
+        }
+        let built = Arc::new(build()?);
+        self.insert(key, &built, bytes(&built));
+        Ok(built)
+    }
+
+    fn get<T: Any + Send + Sync>(&self, key: PartialKey) -> Option<Arc<T>> {
         let mut state = self.lock();
         state.clock += 1;
         let now = state.clock;
         let entry = state.entries.iter_mut().find(|e| e.key == key)?;
         entry.used = now;
-        Arc::clone(&entry.partial).downcast().ok()
+        Arc::clone(&entry.value).downcast().ok()
     }
 
-    /// Caches `partial` under `key`, evicting the least recently used
-    /// partials until it fits, unless it alone exceeds the budget or a
-    /// racing query cached the same key first.
-    fn insert<P: Partial>(&self, key: PartialKey, partial: &Arc<P>) {
-        let bytes = partial.bytes() + size_of::<Entry>();
+    /// Caches `value`, which holds `bytes`, under `key`, evicting the
+    /// least recently used entries until it fits, unless it alone
+    /// exceeds the budget or a racing query cached the same key first.
+    fn insert<T: Any + Send + Sync>(&self, key: PartialKey, value: &Arc<T>, bytes: usize) {
+        let bytes = bytes + size_of::<Entry>();
         if bytes > self.budget {
             return;
         }
@@ -143,7 +192,7 @@ impl PartialCache {
         state.bytes += bytes;
         state.entries.push(Entry {
             key,
-            partial: Arc::clone(partial) as Arc<dyn Any + Send + Sync>,
+            value: Arc::clone(value) as Arc<dyn Any + Send + Sync>,
             bytes,
             used,
         });
@@ -179,17 +228,11 @@ pub(super) fn collect<P: Partial>(
     let key = PartialKey::of::<P>(opts.bucket_secs);
     let mut parts = Vec::new();
     let stats = store.batches(&opts.scan_options(), |batch| {
-        let cached = batch.cache().map(|cache| (cache, cache.get::<P>(key)));
-        let part = match cached {
-            Some((_, Some(hit))) => hit,
-            Some((cache, None)) => {
-                let built = Arc::new(P::fold(batch, opts.bucket_secs)?);
-                cache.insert(key, &built);
-                built
-            }
-            None => Arc::new(P::fold(batch, opts.bucket_secs)?),
-        };
-        parts.push(part);
+        let fold = || P::fold(batch, opts.bucket_secs);
+        parts.push(match batch.cache() {
+            Some(cache) => cache.get_or_build(key, fold, P::bytes)?,
+            None => Arc::new(fold()?),
+        });
         Ok(())
     })?;
     Ok((parts, stats))
@@ -198,6 +241,7 @@ pub(super) fn collect<P: Partial>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     /// A stand-in partial of a chosen size.
     struct Blob(Vec<u8>);
@@ -227,22 +271,31 @@ mod tests {
         PartialKey::of::<Blob>(bucket_secs)
     }
 
+    fn put(cache: &PartialCache, key: PartialKey, blob: &Arc<Blob>) {
+        cache.insert(key, blob, blob.bytes());
+    }
+
+    /// What caching `len` timestamps costs.
+    fn ts_cost(len: usize) -> usize {
+        size_of::<Vec<i64>>() + len * size_of::<i64>() + size_of::<Entry>()
+    }
+
     #[test]
     fn evicts_least_recently_used_within_the_budget() {
         let cache = PartialCache::new(3 * cost(100));
         for width in 1..=3 {
-            cache.insert(key(width), &blob(100));
+            put(&cache, key(width), &blob(100));
         }
         assert_eq!(cache.bytes(), 3 * cost(100));
         // Touch width 1, so width 2 is now the least recently used.
         assert!(cache.get::<Blob>(key(1)).is_some());
-        cache.insert(key(4), &blob(100));
+        put(&cache, key(4), &blob(100));
         assert!(cache.get::<Blob>(key(2)).is_none());
         for width in [1, 3, 4] {
             assert!(cache.get::<Blob>(key(width)).is_some(), "width {width}");
         }
         // A bigger partial evicts as many as it needs.
-        cache.insert(key(5), &blob(250));
+        put(&cache, key(5), &blob(250));
         assert!(cache.bytes() <= 3 * cost(100));
         assert!(cache.get::<Blob>(key(5)).is_some());
     }
@@ -250,8 +303,8 @@ mod tests {
     #[test]
     fn a_partial_over_the_budget_is_never_cached() {
         let cache = PartialCache::new(cost(100));
-        cache.insert(key(1), &blob(100));
-        cache.insert(key(2), &blob(101));
+        put(&cache, key(1), &blob(100));
+        put(&cache, key(2), &blob(101));
         assert!(cache.get::<Blob>(key(2)).is_none());
         assert!(cache.get::<Blob>(key(1)).is_some());
         assert_eq!(cache.bytes(), cost(100));
@@ -262,14 +315,53 @@ mod tests {
         assert_eq!(key(0), key(1));
         assert_eq!(key(-5), key(1));
         assert_ne!(key(7), key(60));
+        assert_ne!(key(1), PartialKey::Timestamps);
         assert_eq!(
             PartialKey::of::<crate::queries::topk::Targets>(7),
             PartialKey::of::<crate::queries::topk::Targets>(60)
         );
         let cache = PartialCache::new(cost(10) * 4);
-        cache.insert(key(60), &blob(10));
+        put(&cache, key(60), &blob(10));
         // A racing second insert of the same key keeps the first.
-        cache.insert(key(60), &blob(10));
+        put(&cache, key(60), &blob(10));
         assert_eq!(cache.bytes(), cost(10));
+    }
+
+    #[test]
+    fn timestamps_decode_once_and_share_the_budget_and_the_lru() {
+        let decodes = Cell::new(0);
+        let decode = || {
+            decodes.set(decodes.get() + 1);
+            Ok((0..100).collect::<Vec<i64>>())
+        };
+        // Room for the timestamps or the partial, not both.
+        let cache = PartialCache::new(ts_cost(100).max(cost(100)) + 1);
+        let first = cache.timestamps(decode).unwrap();
+        assert_eq!(*first, (0..100).collect::<Vec<i64>>());
+        assert_eq!(cache.bytes(), ts_cost(100));
+        assert!(Arc::ptr_eq(&cache.timestamps(decode).unwrap(), &first));
+        assert_eq!(decodes.get(), 1, "the second call is a hit");
+        // The partial evicts the timestamps, which then decode afresh
+        // and evict the partial in turn.
+        put(&cache, key(60), &blob(100));
+        assert_eq!(cache.bytes(), cost(100));
+        cache.timestamps(decode).unwrap();
+        assert_eq!(decodes.get(), 2);
+        assert!(cache.get::<Blob>(key(60)).is_none());
+        assert_eq!(cache.bytes(), ts_cost(100));
+    }
+
+    #[test]
+    fn a_failed_decode_caches_nothing_and_timestamps_over_the_budget_stay_out() {
+        let cache = PartialCache::new(ts_cost(100));
+        let bad = || Err(io::Error::new(io::ErrorKind::InvalidData, "ts column"));
+        assert!(cache.timestamps(bad).is_err());
+        assert!(cache.timestamps(bad).is_err(), "a failure is never cached");
+        assert_eq!(cache.bytes(), 0);
+        let long = cache.timestamps(|| Ok(vec![7; 101])).unwrap();
+        assert_eq!(long.len(), 101);
+        assert_eq!(cache.bytes(), 0, "101 timestamps exceed the budget");
+        cache.timestamps(|| Ok(vec![7; 100])).unwrap();
+        assert_eq!(cache.bytes(), ts_cost(100));
     }
 }

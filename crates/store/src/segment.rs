@@ -232,8 +232,8 @@ pub fn encode_segment(records: &[AuditRecord]) -> Vec<u8> {
 
 /// A parsed segment: header and zone map decoded eagerly, column blocks
 /// decoded on demand (their CRCs re-checked at every decode). It also
-/// carries the query partials cached with it, which the format code
-/// never reads.
+/// carries the query partials and decoded timestamps cached with it,
+/// which the format code never reads.
 #[derive(Debug)]
 pub struct Segment {
     buf: Vec<u8>,
@@ -342,8 +342,8 @@ impl Segment {
         self.buf.len()
     }
 
-    /// The query partials cached with this segment, bounded by its
-    /// encoded size.
+    /// The query partials and decoded timestamps cached with this
+    /// segment, bounded by its encoded size.
     pub(crate) fn partials(&self) -> &PartialCache {
         &self.partials
     }

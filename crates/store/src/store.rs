@@ -847,15 +847,17 @@ pub struct ScanResult<'a> {
 /// The selected rows of one segment, as [`Store::batches`] hands them
 /// to its visitor. Every column decodes when asked for, with its CRC
 /// checked on each call, so a visitor pays only for the columns it
-/// reads; a segment the selection had to cut arrives with its
-/// timestamps already decoded. Column accessors return whole columns,
-/// indexed by row; [`SegmentBatch::selected`] says which rows to read.
+/// reads. A segment the selection had to cut arrives with its
+/// timestamps already decoded: a sealed one's come from its cache,
+/// where they were decoded and CRC-checked once, on first use. Column
+/// accessors return whole columns, indexed by row;
+/// [`SegmentBatch::selected`] says which rows to read.
 #[derive(Debug)]
 pub(crate) struct SegmentBatch<'a> {
     segment: &'a Segment,
     /// The partial cache of a sealed segment the window covers whole.
     cache: Option<&'a PartialCache>,
-    ts: OnceCell<Vec<i64>>,
+    ts: OnceCell<Arc<Vec<i64>>>,
     selected: OnceCell<Vec<usize>>,
 }
 
@@ -880,7 +882,7 @@ impl<'a> SegmentBatch<'a> {
             return Ok(ts);
         }
         let ts = self.segment.decode_ts().map_err(data_err)?;
-        Ok(self.ts.get_or_init(|| ts))
+        Ok(self.ts.get_or_init(|| Arc::new(ts)))
     }
 
     /// The target column as its dictionary plus one code per row.
@@ -1040,8 +1042,8 @@ impl Store {
     }
 
     /// Per segment, in sequence order: its number, the bytes of the query
-    /// partials cached with it, and its encoded bytes, which bound the
-    /// former.
+    /// partials and timestamps cached with it, and its encoded bytes,
+    /// which bound the former.
     pub fn partial_cache_bytes(&self) -> Vec<(u64, usize, usize)> {
         self.segments
             .iter()
@@ -1051,11 +1053,12 @@ impl Store {
 
     /// Visits the store one segment at a time. Zone maps prune whole
     /// segments first. A segment the window covers whole has every row
-    /// selected without a decode. In each other segment the timestamps
-    /// (and the targets, if filtered) decode to select rows. A segment
-    /// with any selected row is handed to `visit` as a [`SegmentBatch`],
-    /// in sequence order, with its partial cache when it is sealed and
-    /// covered. `opts.projection` is ignored.
+    /// selected without a decode. Each other segment selects rows by its
+    /// timestamps, which a sealed segment takes from its cache (decoding
+    /// them on first use), and by its targets, if filtered, which decode.
+    /// A segment with any selected row is handed to `visit` as a
+    /// [`SegmentBatch`], in sequence order, with its partial cache when
+    /// it is sealed and covered. `opts.projection` is ignored.
     ///
     /// # Errors
     ///
@@ -1093,7 +1096,12 @@ impl Store {
                     selected: OnceCell::new(),
                 }
             } else {
-                let ts = seg.decode_ts().map_err(data_err)?;
+                let decode = || seg.decode_ts().map_err(data_err);
+                let ts = if index < self.sealed {
+                    seg.partials().timestamps(decode)?
+                } else {
+                    Arc::new(decode()?)
+                };
                 let in_window = |i: usize| {
                     opts.since_micros.is_none_or(|s| ts[i] >= s)
                         && opts.until_micros.is_none_or(|u| ts[i] <= u)
@@ -1588,6 +1596,49 @@ mod tests {
         }
         assert_eq!(seg_seqs(&dir), vec![1, 3, 4]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cut_segments_cache_only_timestamps_that_pass_their_crc() {
+        use crate::segment::{DATA_START, FOOTER_LEN};
+        // Rows every 2 s: 0–4 s sound, 6–10 s with a damaged timestamp
+        // column under a resealed footer, 12–16 s the tail.
+        let recs = records(9, 5);
+        let mut damaged = encode_segment(&recs[3..6]);
+        damaged[DATA_START] ^= 0x01;
+        let footer = damaged.len() - FOOTER_LEN;
+        let crc = crc32(&damaged[..footer]);
+        damaged[footer..].copy_from_slice(&crc.to_le_bytes());
+        let segments = [encode_segment(&recs[..3]), damaged]
+            .into_iter()
+            .zip(1..)
+            .map(|(bytes, seq)| (seq, Arc::new(Segment::parse(bytes).unwrap())))
+            .collect();
+        let store = Store::assemble(segments, &recs[6..], 3, RecoveryReport::default());
+        let window = |since: i64, until: i64| ScanOptions {
+            since_micros: Some(since * 1_000_000),
+            until_micros: Some(until * 1_000_000),
+            ..ScanOptions::default()
+        };
+        for _ in 0..2 {
+            let err = store.scan(&window(2, 8)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        assert_eq!(store.scan(&window(14, 20)).unwrap().stats.rows_selected, 2);
+        let cached: Vec<usize> = store
+            .partial_cache_bytes()
+            .iter()
+            .map(|&(_, bytes, _)| bytes)
+            .collect();
+        assert!(
+            cached[0] > 3 * 8,
+            "the sound segment's timestamps: {cached:?}"
+        );
+        assert_eq!(
+            cached[1..],
+            [0, 0],
+            "a failed decode and the tail cache nothing"
+        );
     }
 
     #[test]

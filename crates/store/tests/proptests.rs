@@ -8,10 +8,13 @@
 //! never a panic, never silently wrong rows — (5) WAL replay is
 //! idempotent under arbitrary tail damage, (6) every query kind,
 //! folded over segment batches, renders the same JSON and table bytes
-//! as a row-at-a-time oracle over `Store::scan`, and (7) so does every
+//! as a row-at-a-time oracle over `Store::scan`, (7) so does every
 //! kind answered from cached per-segment partials: cold, warm, after
 //! other widths evicted them, and over the same rows compacted into one
-//! segment, with each segment's cached bytes within its encoded bytes.
+//! segment, with each segment's cached bytes within its encoded bytes,
+//! and (8) so does every kind over windows that cut sealed segments,
+//! before their timestamps are cached, once they are, and after
+//! partials evicted them.
 //!
 //! Each property runs on `fakeaudit_check`'s seeded runner: case `i`
 //! draws its input from seed `i`, and a failing case prints the
@@ -19,6 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
+use std::mem::size_of;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -668,12 +672,13 @@ fn oracle_answer(store: &Store, kind: QueryKind, opts: &QueryOptions) -> (String
     (report.to_json(), report.to_table())
 }
 
-/// Every segment's cached partial bytes are within its encoded bytes.
+/// Every segment's cached bytes, partials and timestamps together, are
+/// within its encoded bytes.
 fn assert_within_bound(store: &Store, label: &str) {
     for (seq, cached, encoded) in store.partial_cache_bytes() {
         assert!(
             cached <= encoded,
-            "{label}: segment {seq} caches {cached} B of partials over its {encoded} B"
+            "{label}: segment {seq} caches {cached} B of partials and timestamps over its {encoded} B"
         );
     }
 }
@@ -751,6 +756,146 @@ fn cached_partials_answer_as_the_exact_oracle() {
             assert_eq!(rows, fresh.2, "{label}, compacted");
         }
         assert_within_bound(&compacted, &format!("threshold {threshold}, compacted"));
+    }
+}
+
+/// Whether the window of whole seconds `since..=until` reaches `rows`'
+/// segment without covering it: the segment a query selects rows from
+/// by its timestamps.
+fn cuts(rows: &[AuditRecord], (since, until): (i64, i64)) -> bool {
+    let ts = rows.iter().map(|r| r.ts_micros);
+    let (lo, hi) = (ts.clone().min().unwrap(), ts.max().unwrap());
+    let (since, until) = (since * 1_000_000, until * 1_000_000 + 999_999);
+    lo <= until && hi >= since && (lo < since || hi > until)
+}
+
+/// The bytes each segment caches after `kind` runs over a fresh open.
+fn cached_after(io: &MemIo, kind: QueryKind, opts: &QueryOptions) -> Vec<usize> {
+    let store = Store::open_with(io, Path::new("/history")).expect("fresh open");
+    answer(&store, kind, opts);
+    let cached = store.partial_cache_bytes();
+    cached.iter().map(|&(_, bytes, _)| bytes).collect()
+}
+
+#[test]
+fn cached_timestamps_answer_as_the_exact_oracle() {
+    // Each window runs from one second past a sealed segment's earliest
+    // row to its latest, so it cuts that segment, whose rows step back
+    // in time. A one-row segment is covered or pruned whole, so
+    // threshold 2 writes the smallest segments a window can cut; their
+    // budget cannot hold the timestamps beside a `retention` partial,
+    // so each evicts the other. 7 and 128 leave a tail as well.
+    let dir = Path::new("/history");
+    for (threshold, n) in [(2, 120), (7, 160), (128, 700)] {
+        let seed = 9_000 + threshold as u64;
+        let rows = history_with_outliers(&mut Rng::new(seed), n);
+        let io = Arc::new(MemIo::new());
+        let writer = writer_with(&io, &rows, threshold);
+        let segments: Vec<&[AuditRecord]> = rows.chunks(threshold).collect();
+        let sealed = &segments[..rows.len() / threshold];
+        let secs = |row: &AuditRecord| row.ts_micros.div_euclid(1_000_000);
+        let windows: Vec<(i64, i64)> = sealed
+            .iter()
+            .filter(|seg| seg.windows(2).any(|w| w[1].ts_micros < w[0].ts_micros))
+            .map(|seg| {
+                let lo = seg.iter().map(secs).min().unwrap();
+                (lo + 1, seg.iter().map(secs).max().unwrap())
+            })
+            .filter(|&(since, until)| since <= until)
+            .take(8)
+            .collect();
+        assert!(windows.len() >= 4, "threshold {threshold}: {windows:?}");
+        let queries: Vec<(QueryKind, QueryOptions)> = windows
+            .iter()
+            .flat_map(|&(since, until)| {
+                let window = QueryOptions {
+                    since_secs: Some(since),
+                    until_secs: Some(until),
+                    ..QueryOptions::default()
+                };
+                [
+                    (QueryKind::Timeseries, 1, 10, TopkBy::Ratio),
+                    (QueryKind::Timeseries, 60, 10, TopkBy::Ratio),
+                    (QueryKind::Drift, 7, 10, TopkBy::Ratio),
+                    (QueryKind::Retention, 60, 3, TopkBy::Ratio),
+                    (QueryKind::Topk, 60, 3, TopkBy::Cost),
+                ]
+                .map(|(kind, bucket_secs, k, by)| {
+                    let opts = QueryOptions {
+                        bucket_secs,
+                        k,
+                        by,
+                        ..window
+                    };
+                    (kind, opts)
+                })
+            })
+            .collect();
+
+        // What a whole-history `retention` partial costs each segment.
+        let retention = cached_after(&io, QueryKind::Retention, &QueryOptions::default());
+        let warm = writer.snapshot();
+        let mut fresh_answers = Vec::new();
+        for (kind, opts) in &queries {
+            let label = format!("threshold {threshold}, seed {seed}, {kind} {opts:?}");
+            let window = (opts.since_secs.unwrap(), opts.until_secs.unwrap());
+            // Opening decodes nothing. The first answer caches each cut
+            // sealed segment's timestamps, which the bound counts; the
+            // tail segment caches nothing.
+            let fresh_store = Store::open_with(&*io, dir).expect("fresh open");
+            let cached = fresh_store.partial_cache_bytes();
+            assert!(cached.iter().all(|&(_, bytes, _)| bytes == 0), "{label}");
+            let fresh = answer(&fresh_store, *kind, opts);
+            let cached = fresh_store.partial_cache_bytes();
+            for (i, (segment, &(seq, bytes, encoded))) in segments.iter().zip(&cached).enumerate() {
+                if segment.len() < threshold {
+                    assert_eq!(bytes, 0, "{label}: the tail segment {seq} caches");
+                } else if cuts(segment, window) {
+                    let column = size_of::<Vec<i64>>() + segment.len() * size_of::<i64>();
+                    assert!(bytes > column, "{label}: segment {seq} caches {bytes} B");
+                    assert!(
+                        threshold > 2 || (retention[i] > 0 && bytes + retention[i] > encoded),
+                        "{label}: segment {seq} holds {bytes} B of timestamps and {} B of \
+                         partials in {encoded} B",
+                        retention[i]
+                    );
+                }
+            }
+            assert_within_bound(&fresh_store, &label);
+            let (json, table) = oracle_answer(&fresh_store, *kind, opts);
+            assert_eq!(fresh.0, json, "{label}");
+            assert_eq!(fresh.1, table, "{label}");
+            // The writer's snapshot caches the timestamps, then selects
+            // from them.
+            assert_eq!(answer(&warm, *kind, opts), fresh, "{label}, cold snapshot");
+            assert_eq!(answer(&warm, *kind, opts), fresh, "{label}, warm snapshot");
+            assert_within_bound(&warm, &label);
+            fresh_answers.push(fresh);
+        }
+
+        // Partials of the whole history at every width land in every
+        // segment, evicting timestamps where the budget is short: at
+        // threshold 2, always.
+        for bucket_secs in [1, 7, 60, 300, 100_000] {
+            for kind in [QueryKind::Retention, QueryKind::Timeseries] {
+                let opts = QueryOptions {
+                    bucket_secs,
+                    ..QueryOptions::default()
+                };
+                answer(&warm, kind, &opts);
+            }
+        }
+        assert_within_bound(&warm, &format!("threshold {threshold}"));
+        let again = writer.snapshot();
+        for ((kind, opts), fresh) in queries.iter().zip(&fresh_answers).rev() {
+            let label = format!("threshold {threshold}, seed {seed}, {kind} {opts:?}");
+            assert_eq!(
+                answer(&again, *kind, opts),
+                *fresh,
+                "{label}, after eviction"
+            );
+            assert_within_bound(&again, &label);
+        }
     }
 }
 
